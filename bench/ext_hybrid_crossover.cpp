@@ -38,7 +38,7 @@ void run() {
       const auto pure = core::jigsaw_run(core::jigsaw_plan(a.values(), {}), b,
                                          cm, {.compute_values = false});
       const auto hplan = core::hybrid_plan(a.values(), {});
-      const auto hybrid = core::hybrid_run(hplan, a.values(), b, cm,
+      const auto hybrid = core::hybrid_run(hplan, b, cm,
                                            {.compute_values = false});
       pure_acc += dense / pure.report.duration_cycles;
       hybrid_acc += dense / hybrid.report.duration_cycles;

@@ -456,7 +456,7 @@ int cmd_profile(const Args& args, std::ostream& out) {
   // Functional compute + hybrid + checked tiers.
   (void)core::jigsaw_compute(interleaved, b);
   const auto hplan = core::hybrid_plan(a, {});
-  (void)core::hybrid_run(hplan, a, b, cm, {.compute_values = false});
+  (void)core::hybrid_run(hplan, b, cm, {.compute_values = false});
   {
     auto checked = core::run_spmm_checked(a, b, cm);
     JIGSAW_CHECK_MSG(checked.ok(), "checked run rejected: "

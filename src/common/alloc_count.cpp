@@ -6,22 +6,23 @@
 // malloc-backed so the sanitizer interceptors still see every block.
 #include "common/alloc_count.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <new>
 
 namespace {
 
-constinit std::atomic<std::uint64_t> g_heap_allocations{0};
+// Constant-initialized and trivially destructible: no TLS init guard, so
+// operator new may touch it at any point of a thread's life.
+constinit thread_local std::uint64_t t_heap_allocations = 0;
 
 void* counted_alloc(std::size_t size) noexcept {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_heap_allocations;
   if (size == 0) size = 1;
   return std::malloc(size);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) noexcept {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_heap_allocations;
   if (size == 0) size = 1;
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
@@ -36,7 +37,7 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) noexcept {
 namespace jigsaw {
 
 std::uint64_t heap_allocation_count() {
-  return g_heap_allocations.load(std::memory_order_relaxed);
+  return t_heap_allocations;
 }
 
 }  // namespace jigsaw

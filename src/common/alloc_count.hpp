@@ -1,18 +1,20 @@
-// Process-wide heap-allocation counter.
+// Per-thread heap-allocation counter.
 //
 // Linking this TU (any reference to heap_allocation_count() pulls it in)
 // replaces the global operator new/delete family with malloc-backed
-// versions that bump one relaxed atomic per allocation. The engine
-// brackets the kernel execution window with two reads and publishes the
-// delta as the `jigsaw.engine.submit.allocations` counter; the
-// steady-state regression test asserts the delta is zero once the
-// per-worker arenas are warm (docs/PERFORMANCE.md).
+// versions that bump the calling thread's count per allocation. The
+// engine brackets the compute window of Engine::execute with two reads on
+// the executing thread and publishes the delta as the
+// `jigsaw.engine.submit.allocations` counter; the steady-state regression
+// tests assert the delta is zero once the per-worker arenas are warm
+// (docs/PERFORMANCE.md).
 //
-// The count is process-global across all threads — a window measured on
-// one thread includes allocations made concurrently by others, which is
-// exactly right for the kernel window (its OpenMP workers are part of
-// the execution) and means callers should not expect isolation from
-// unrelated concurrent work.
+// The count is per thread, so a window measures only its own thread:
+// concurrent requests on other workers (or any unrelated thread) never
+// leak into it. Allocations made inside the kernel's OpenMP parallel
+// bodies run on other threads and are not counted here; those bodies are
+// guarded by the `hot-path-alloc` lint rule instead (container
+// construction is banned in `jigsaw-lint: hot-path` files).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,7 @@
 namespace jigsaw {
 
 /// Number of heap allocations (operator new calls, all forms) performed
-/// by the process so far. Monotonic; never reset.
+/// by the calling thread so far. Monotonic; never reset.
 std::uint64_t heap_allocation_count();
 
 }  // namespace jigsaw

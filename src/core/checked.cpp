@@ -54,7 +54,6 @@ EngineOptions CheckedRunOptions::to_engine_options() const {
   o.compile.block_tile = tile.block_tile_m;
   o.compile.reorder = reorder;
   o.compile.cuda_route_max_nnz = cuda_fallback_max_nnz;
-  o.run.tuning = tuning;
   return o;
 }
 
@@ -63,7 +62,6 @@ CheckedRunOptions checked_options_from(const EngineOptions& options) {
   o.tile.block_tile_m = options.compile.block_tile;
   o.reorder = options.compile.reorder;
   o.cuda_fallback_max_nnz = options.compile.cuda_route_max_nnz;
-  o.tuning = options.run.tuning;
   return o;
 }
 
@@ -164,13 +162,13 @@ Result<CheckedArtifact> checked_compile(const DenseMatrix<fp16_t>& a,
     return Status(StatusCode::kInternal,
                   "degraded format failed validation: " + valid.to_string());
   }
+  gather_fallback_columns(a, plan);
   out.hybrid = std::move(plan);
   publish_degradation(deg);
   return out;
 }
 
 CheckedRunResult checked_execute(const CheckedArtifact& artifact,
-                                 const DenseMatrix<fp16_t>& a,
                                  const DenseMatrix<fp16_t>& b,
                                  const gpusim::CostModel& cost_model,
                                  const JigsawTuning& tuning) {
@@ -185,11 +183,8 @@ CheckedRunResult checked_execute(const CheckedArtifact& artifact,
   }
   JIGSAW_CHECK_MSG(artifact.hybrid.has_value(),
                    "degraded artifact without a hybrid plan");
-  HybridRunResult run = hybrid_run(*artifact.hybrid, a, b, cost_model,
-                                   {.compute_values = true, .tuning = tuning});
-  JIGSAW_CHECK_MSG(run.c.has_value(), "hybrid_run dropped the values");
-  out.c = std::move(*run.c);
-  out.report = std::move(run.report);
+  out.report = hybrid_cost(*artifact.hybrid, b.cols(), cost_model, tuning);
+  out.c = hybrid_compute(*artifact.hybrid, b);
   return out;
 }
 
@@ -209,7 +204,7 @@ Result<CheckedRunResult> run_spmm_checked(const DenseMatrix<fp16_t>& a,
   }
   auto artifact = checked_compile(a, options);
   if (!artifact.ok()) return artifact.status();
-  return checked_execute(artifact.value(), a, b, cost_model, options.tuning);
+  return checked_execute(artifact.value(), b, cost_model, options.tuning);
 }
 
 Result<DenseMatrix<float>> run_spmm_checked(const JigsawFormat& format,

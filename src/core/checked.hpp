@@ -45,18 +45,20 @@ struct DegradationReport {
 
 /// Deprecated shim over the layered EngineOptions (core/options.hpp):
 /// the checked tier predates the consolidation and mixed compile-section
-/// fields (tile, reorder, routing threshold) with the run-section tuning.
-/// Existing call sites keep compiling; new code builds an EngineOptions
-/// and lets the engine drive this tier.
+/// fields (tile, reorder, routing threshold) with the latency-model
+/// tuning, which the engine takes in EngineConfig instead. Existing call
+/// sites keep compiling; new code builds an EngineOptions and lets the
+/// engine drive this tier.
 struct CheckedRunOptions {
   TileConfig tile{};          ///< BLOCK_TILE of the attempted SpTC path
   ReorderOptions reorder{};   ///< knobs of the first-chance reorder
   /// Degraded columns thinner than this (panel nonzeros) fall back to the
   /// CUDA cores; the rest go to the dense tensor core.
   std::uint32_t cuda_fallback_max_nnz = 2;
-  JigsawTuning tuning{};
+  JigsawTuning tuning{};  ///< used by run_spmm_checked
 
-  /// The EngineOptions equivalent of this shim (tuning lands in .run).
+  /// The EngineOptions equivalent of this shim. `tuning` has no place
+  /// there (it belongs to EngineConfig) and does not round-trip.
   EngineOptions to_engine_options() const;
 };
 
@@ -97,11 +99,9 @@ struct CheckedRunResult {
 };
 
 /// Executes one RHS against a compiled checked artifact: the SpTC path
-/// when undegraded, the fused hybrid pipes otherwise. `a` is only read on
-/// the degraded route (the hybrid pipes recompute their columns from the
-/// original matrix).
+/// when undegraded, the fused hybrid pipes (reading the columns the
+/// compile gathered) otherwise.
 CheckedRunResult checked_execute(const CheckedArtifact& artifact,
-                                 const DenseMatrix<fp16_t>& a,
                                  const DenseMatrix<fp16_t>& b,
                                  const gpusim::CostModel& cost_model,
                                  const JigsawTuning& tuning = {});

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sptc/mma_sp.hpp"
+#include "common/simd.hpp"
 
 namespace jigsaw::core {
 
@@ -48,6 +49,65 @@ std::size_t HybridPlan::total_cuda_columns() const {
   std::size_t n = 0;
   for (const auto& r : routing) n += r.cuda_columns.size();
   return n;
+}
+
+std::size_t HybridPlan::pipe_bytes() const {
+  std::size_t bytes = pipe_rows.size() * sizeof(std::uint32_t);
+  for (const PanelRouting& r : routing) {
+    bytes += (r.dense_columns.size() + r.cuda_columns.size() +
+              r.cuda_offsets.size()) *
+                 sizeof(std::uint32_t) +
+             (r.dense_tiles.size() + r.cuda_values.size()) * sizeof(fp16_t) +
+             r.cuda_rows.size() * sizeof(std::uint8_t);
+  }
+  return bytes;
+}
+
+void gather_fallback_columns(const DenseMatrix<fp16_t>& a, HybridPlan& plan) {
+  const std::size_t bt =
+      static_cast<std::size_t>(plan.options.tile.block_tile_m);
+  // Panel-relative CUDA rows are stored as uint8.
+  JIGSAW_CHECK(bt % kMmaTile == 0 && bt <= 256);
+  parallel_for(static_cast<std::int64_t>(plan.routing.size()),
+               [&](std::int64_t pi) {
+    const auto p = static_cast<std::size_t>(pi);
+    PanelRouting& r = plan.routing[p];
+    const std::size_t row_begin = p * bt;
+    const std::size_t row_end = std::min(row_begin + bt, a.rows());
+
+    const std::size_t tiles = (r.dense_columns.size() + kMmaTile - 1) / kMmaTile;
+    r.dense_tiles.assign(tiles * bt * kMmaTile, fp16_t{});
+    for (std::size_t i = 0; i < r.dense_columns.size(); ++i) {
+      const std::size_t t = i / kMmaTile, j = i % kMmaTile;
+      for (std::size_t row = row_begin; row < row_end; ++row) {
+        r.dense_tiles[(t * bt + row - row_begin) * kMmaTile + j] =
+            a(row, r.dense_columns[i]);
+      }
+    }
+
+    r.cuda_offsets.assign(1, 0);
+    r.cuda_rows.clear();
+    r.cuda_values.clear();
+    for (const std::uint32_t col : r.cuda_columns) {
+      for (std::size_t row = row_begin; row < row_end; ++row) {
+        const fp16_t v = a(row, col);
+        if (static_cast<float>(v) == 0.0f) continue;  // the pipe skips zeros
+        r.cuda_rows.push_back(static_cast<std::uint8_t>(row - row_begin));
+        r.cuda_values.push_back(v);
+      }
+      r.cuda_offsets.push_back(static_cast<std::uint32_t>(r.cuda_rows.size()));
+    }
+  });
+
+  std::vector<bool> read(a.cols(), false);
+  for (const PanelRouting& r : plan.routing) {
+    for (const std::uint32_t c : r.dense_columns) read[c] = true;
+    for (const std::uint32_t c : r.cuda_columns) read[c] = true;
+  }
+  plan.pipe_rows.clear();
+  for (std::size_t c = 0; c < read.size(); ++c) {
+    if (read[c]) plan.pipe_rows.push_back(static_cast<std::uint32_t>(c));
+  }
 }
 
 HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
@@ -95,6 +155,7 @@ HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
   };
   plan.reorder = multi_granularity_reorder(a, ropts);
   plan.format = JigsawFormat::build(a, plan.reorder);
+  gather_fallback_columns(a, plan);
 
   if (obs::metrics_enabled()) {
     // Routing decisions, one observation per panel so the histograms show
@@ -116,24 +177,16 @@ HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
   return plan;
 }
 
-HybridRunResult hybrid_run(const HybridPlan& plan,
-                           const DenseMatrix<fp16_t>& a,
-                           const DenseMatrix<fp16_t>& b,
-                           const gpusim::CostModel& cost_model,
-                           const HybridRunOptions& options) {
-  JIGSAW_TRACE_SCOPE("hybrid", "hybrid.run");
-  obs::add("hybrid.runs");
-  JIGSAW_CHECK(a.rows() == plan.format.rows() &&
-               a.cols() == plan.format.cols());
-  JIGSAW_CHECK(b.rows() == a.cols());
-  const std::size_t n = b.cols();
+gpusim::KernelReport hybrid_cost(const HybridPlan& plan, std::size_t n,
+                                 const gpusim::CostModel& cost_model,
+                                 const JigsawTuning& tuning) {
   const std::size_t bt =
       static_cast<std::size_t>(plan.options.tile.block_tile_m);
   const int slices = plan.format.row_slices_per_panel();
 
-  // ---- Cost: start from the SpTC walk, add the two extra pipes.
+  // Start from the SpTC walk, add the two extra pipes.
   gpusim::KernelReport sptc_report = jigsaw_cost(
-      plan.format, n, KernelVersion::kV4, cost_model, options.tuning);
+      plan.format, n, KernelVersion::kV4, cost_model, tuning);
   gpusim::KernelCounters counters = sptc_report.counters;
   const double n_pad = static_cast<double>(round_up(n, 8));
   const double nblocks = static_cast<double>((n + kBlockTileN - 1) /
@@ -169,80 +222,120 @@ HybridRunResult hybrid_run(const HybridPlan& plan,
     counters.l2_read_bytes += cuda_bytes * (nblocks - 1.0) / nblocks;
   }
 
-  HybridRunResult result;
-  result.report = cost_model.estimate(
+  return cost_model.estimate(
       "hybrid_bt" + std::to_string(plan.options.tile.block_tile_m), counters,
       sptc_report.launch);
+}
 
-  if (!options.compute_values) return result;
+namespace {
 
-  // ---- Functional: SpTC subset through the format, then the dense and
-  // CUDA routes accumulate on top.
-  DenseMatrix<float> c = jigsaw_compute(plan.format, b);
+/// Output columns one dense-route accumulator row covers (a 1 KiB stack
+/// buffer); column chunking never changes a per-element sum.
+constexpr std::size_t kPipeCols = 256;
 
-  parallel_for(static_cast<std::int64_t>(plan.routing.size()),
-               [&](std::int64_t pi) {
-    const auto p = static_cast<std::size_t>(pi);
+}  // namespace
+
+void hybrid_compute_into(const HybridPlan& plan, const DenseMatrix<fp16_t>& b,
+                         DenseMatrix<float>& c) {
+  JIGSAW_TRACE_SCOPE("hybrid", "hybrid.run");
+  obs::add("hybrid.runs");
+  // SpTC subset first; it also checks every shape.
+  jigsaw_compute_into(plan.format, b, c);
+  const std::size_t m = c.rows(), n = b.cols();
+  const std::size_t bt =
+      static_cast<std::size_t>(plan.options.tile.block_tile_m);
+  constexpr std::size_t kTile = kMmaTile * kMmaTile;
+
+  // Float copy of the B rows the pipes read, at their own row offsets
+  // (rows no pipe reads are left unwritten and never touched).
+  ArenaScope scratch(thread_scratch_arena());
+  float* bf = scratch.alloc<float>(b.rows() * n);
+  parallel_for(static_cast<std::int64_t>(plan.pipe_rows.size()),
+               [&](std::int64_t i) {
+    const std::size_t row = plan.pipe_rows[static_cast<std::size_t>(i)];
+    const fp16_t* src = b.data() + row * n;
+    float* dst = bf + row * n;
+    for (std::size_t j = 0; j < n; ++j) dst[j] = static_cast<float>(src[j]);
+  });
+
+  // One task per 16-row slice: slices write disjoint rows of C, so the
+  // order of the terms each output element receives stays the serial one.
+  const std::size_t num_slices = (m + kMmaTile - 1) / kMmaTile;
+  parallel_for(static_cast<std::int64_t>(num_slices), [&](std::int64_t si) {
+    const std::size_t slice_row = static_cast<std::size_t>(si) * kMmaTile;
+    const std::size_t p = slice_row / bt;
     const PanelRouting& routing = plan.routing[p];
     const std::size_t row_begin = p * bt;
-    const std::size_t row_end = std::min(row_begin + bt, a.rows());
+    const std::size_t mrows = std::min<std::size_t>(kMmaTile, m - slice_row);
+    float af[kTile];
+    float acc[kPipeCols];
 
-    // Dense tensor core route: 16-column tiles through mma.m16n8k16.
-    for (std::size_t t0 = 0; t0 < routing.dense_columns.size(); t0 += 16) {
+    // Dense tensor core route: per tile the m16n8k16 product of the
+    // gathered 16x16 A tile, summed over k into a zeroed accumulator
+    // (zeros skipped) and only then added to C.
+    for (std::size_t t0 = 0; t0 < routing.dense_columns.size();
+         t0 += kMmaTile) {
       const std::size_t tcols =
-          std::min<std::size_t>(16, routing.dense_columns.size() - t0);
-      for (std::size_t slice_row = row_begin; slice_row < row_end;
-           slice_row += kMmaTile) {
-        const std::size_t mrows =
-            std::min<std::size_t>(kMmaTile, a.rows() - slice_row);
-        DenseMatrix<fp16_t> atile(16, 16);
-        for (std::size_t j = 0; j < tcols; ++j) {
-          const std::size_t col = routing.dense_columns[t0 + j];
-          for (std::size_t r = 0; r < mrows; ++r) {
-            atile(r, j) = a(slice_row + r, col);
+          std::min<std::size_t>(kMmaTile, routing.dense_columns.size() - t0);
+      const std::uint32_t* cols = routing.dense_columns.data() + t0;
+      const fp16_t* tile =
+          routing.dense_tiles.data() +
+          ((t0 / kMmaTile) * bt + slice_row - row_begin) * kMmaTile;
+      for (std::size_t i = 0; i < mrows * kMmaTile; ++i) {
+        af[i] = static_cast<float>(tile[i]);
+      }
+      for (std::size_t n0 = 0; n0 < n; n0 += kPipeCols) {
+        const std::size_t nw = std::min(kPipeCols, n - n0);
+        for (std::size_t r = 0; r < mrows; ++r) {
+          std::fill(acc, acc + nw, 0.0f);
+          for (std::size_t k = 0; k < tcols; ++k) {
+            const float av = af[r * kMmaTile + k];
+            if (av == 0.0f) continue;
+            const float* brow =
+                bf + static_cast<std::size_t>(cols[k]) * n + n0;
+            JIGSAW_PRAGMA_SIMD
+            for (std::size_t j = 0; j < nw; ++j) acc[j] += av * brow[j];
           }
-        }
-        DenseMatrix<fp16_t> btile(16, 8);
-        DenseMatrix<float> acc(16, 8);
-        for (std::size_t n0 = 0; n0 < n; n0 += 8) {
-          const std::size_t nw = std::min<std::size_t>(8, n - n0);
-          for (std::size_t j = 0; j < tcols; ++j) {
-            const std::size_t col = routing.dense_columns[t0 + j];
-            for (std::size_t q = 0; q < nw; ++q) {
-              btile(j, q) = b(col, n0 + q);
-            }
-          }
-          for (std::size_t j = tcols; j < 16; ++j) {
-            for (std::size_t q = 0; q < nw; ++q) btile(j, q) = fp16_t{};
-          }
-          std::fill(acc.data(), acc.data() + acc.size(), 0.0f);
-          auto accv = acc.view().subview(0, 0, 16, nw);
-          sptc::mma_m16n8k16(atile.view(),
-                             btile.view().subview(0, 0, 16, nw), accv);
-          for (std::size_t r = 0; r < mrows; ++r) {
-            for (std::size_t q = 0; q < nw; ++q) {
-              c(slice_row + r, n0 + q) += acc(r, q);
-            }
-          }
+          float* crow = c.data() + (slice_row + r) * n + n0;
+          JIGSAW_PRAGMA_SIMD
+          for (std::size_t j = 0; j < nw; ++j) crow[j] += acc[j];
         }
       }
     }
 
-    // CUDA-core route: scalar loops over the thin columns.
-    for (const std::uint32_t col : routing.cuda_columns) {
-      for (std::size_t r = row_begin; r < row_end; ++r) {
-        const float av = static_cast<float>(a(r, col));
-        if (av == 0.0f) continue;
-        const fp16_t* brow = b.view().row(col);
-        float* crow = c.view().row(r);
-        for (std::size_t q = 0; q < n; ++q) {
-          crow[q] += av * static_cast<float>(brow[q]);
-        }
+    // CUDA-core route: scalar FMAs over the thin columns' nonzeros in
+    // this slice.
+    for (std::size_t i = 0; i < routing.cuda_columns.size(); ++i) {
+      const float* brow =
+          bf + static_cast<std::size_t>(routing.cuda_columns[i]) * n;
+      for (std::uint32_t e = routing.cuda_offsets[i];
+           e < routing.cuda_offsets[i + 1]; ++e) {
+        const std::size_t row = row_begin + routing.cuda_rows[e];
+        if (row < slice_row || row >= slice_row + mrows) continue;
+        const float av = static_cast<float>(routing.cuda_values[e]);
+        float* crow = c.data() + row * n;
+        JIGSAW_PRAGMA_SIMD
+        for (std::size_t q = 0; q < n; ++q) crow[q] += av * brow[q];
       }
     }
   });
+}
 
-  result.c = std::move(c);
+DenseMatrix<float> hybrid_compute(const HybridPlan& plan,
+                                  const DenseMatrix<fp16_t>& b) {
+  DenseMatrix<float> c(plan.format.rows(), b.cols());
+  hybrid_compute_into(plan, b, c);
+  return c;
+}
+
+HybridRunResult hybrid_run(const HybridPlan& plan,
+                           const DenseMatrix<fp16_t>& b,
+                           const gpusim::CostModel& cost_model,
+                           const HybridRunOptions& options) {
+  JIGSAW_CHECK(b.rows() == plan.format.cols());
+  HybridRunResult result;
+  result.report = hybrid_cost(plan, b.cols(), cost_model);
+  if (options.compute_values) result.c = hybrid_compute(plan, b);
   return result;
 }
 

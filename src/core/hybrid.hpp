@@ -16,8 +16,8 @@
 //       - SPTC   (the standard Jigsaw path): everything in between;
 //   * the SpTC subset goes through the unchanged multi-granularity reorder
 //     and reorder-aware format (via ReorderOptions::column_filter);
-//   * dense-routed columns form plain 16-wide dense tiles; CUDA-routed
-//     nonzeros are kept in per-panel coordinate lists;
+//   * dense-routed columns are gathered into plain 16-wide dense tiles;
+//     CUDA-routed nonzeros into per-panel (row, value) lists;
 //   * one fused kernel report charges all three pipes, which the cost
 //     model naturally overlaps (tensor core, CUDA core and memory are
 //     independent resources).
@@ -53,6 +53,20 @@ struct PanelRouting {
   std::vector<std::uint32_t> dense_columns;  ///< original column ids
   std::vector<std::uint32_t> cuda_columns;
   std::size_t cuda_nnz = 0;  ///< nonzeros routed to CUDA cores
+
+  // ---- The routed columns gathered out of A (gather_fallback_columns):
+  // everything the two extra pipes read, so A itself need not stay
+  // resident once the plan is built.
+  /// Dense route: per 16-column tile of dense_columns, the panel's
+  /// BLOCK_TILE rows x 16 columns, row-major and zero-padded — so each
+  /// 16-row slice is one contiguous 16x16 tile.
+  std::vector<fp16_t> dense_tiles;
+  /// CUDA route: cuda_columns[i]'s nonzeros are entries
+  /// [cuda_offsets[i], cuda_offsets[i + 1]) of (panel-relative row, value),
+  /// rows ascending.
+  std::vector<std::uint32_t> cuda_offsets;
+  std::vector<std::uint8_t> cuda_rows;
+  std::vector<fp16_t> cuda_values;
 };
 
 struct HybridPlan {
@@ -60,14 +74,41 @@ struct HybridPlan {
   JigsawFormat format;            ///< SpTC subset, standard Jigsaw format
   ReorderResult reorder;          ///< for stats
   std::vector<PanelRouting> routing;  ///< one per panel
+  /// Ascending distinct A columns (= B rows) the dense and CUDA pipes
+  /// read; hybrid_compute stages only these B rows.
+  std::vector<std::uint32_t> pipe_rows;
 
   std::size_t total_dense_columns() const;
   std::size_t total_cuda_columns() const;
+  /// Resident bytes of the routing lists and gathered columns.
+  std::size_t pipe_bytes() const;
 };
 
 /// Classifies columns and preprocesses the SpTC subset.
 HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
                        const HybridOptions& options = {});
+
+/// Fills the gathered-column fields of every panel's routing (and
+/// plan.pipe_rows) from `a`, once the routing lists are final. hybrid_plan
+/// calls it; so does the checked tier's degraded compile.
+void gather_fallback_columns(const DenseMatrix<fp16_t>& a, HybridPlan& plan);
+
+/// Simulated report of the fused hybrid kernel at an n-column RHS: the
+/// SpTC subset's cost walk plus the dense-TC and CUDA-core pipes.
+gpusim::KernelReport hybrid_cost(const HybridPlan& plan, std::size_t n,
+                                 const gpusim::CostModel& cost_model,
+                                 const JigsawTuning& tuning = {});
+
+/// Functional hybrid product into a caller-sized rows x b.cols() output:
+/// SpTC tiles through jigsaw_compute_into, dense tiles through the
+/// m16n8k16 accumulation, CUDA-routed nonzeros through scalar FMAs, all
+/// read from the gathered columns. Per output element the sum order is
+/// the SpTC product, then each dense tile's k-sum in tile order, then the
+/// CUDA columns in order. Scratch comes from the thread's arena.
+void hybrid_compute_into(const HybridPlan& plan, const DenseMatrix<fp16_t>& b,
+                         DenseMatrix<float>& c);
+DenseMatrix<float> hybrid_compute(const HybridPlan& plan,
+                                  const DenseMatrix<fp16_t>& b);
 
 struct HybridRunResult {
   std::optional<DenseMatrix<float>> c;
@@ -78,11 +119,9 @@ struct HybridRunResult {
 // (core/options.hpp); the fused epilogue it carries is ignored by
 // hybrid_run itself (the engine applies it after the three pipes merge).
 
-/// Executes the fused hybrid kernel: SpTC tiles through the Jigsaw path,
-/// dense tiles through mma.m16n8k16, CUDA-routed nonzeros through scalar
-/// FMAs; the three partial products accumulate into one C.
+/// hybrid_cost (default JigsawTuning), then hybrid_compute when
+/// options.compute_values.
 HybridRunResult hybrid_run(const HybridPlan& plan,
-                           const DenseMatrix<fp16_t>& a,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,
                            const HybridRunOptions& options = {});

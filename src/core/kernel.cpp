@@ -6,6 +6,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
@@ -293,16 +294,41 @@ DenseMatrix<float> jigsaw_compute(const JigsawFormat& f,
   return c;
 }
 
+/// The kernel's view into CostWalk's panels (the type is opaque to
+/// everyone else).
+struct CostWalkAccess {
+  using Panel = CostWalk::Panel;
+  static std::vector<Panel>& panels(CostWalk& w) { return w.panels_; }
+  static const std::vector<Panel>& panels(const CostWalk& w) {
+    return w.panels_;
+  }
+  static const JigsawTuning& tuning(const CostWalk& w) { return w.tuning_; }
+  static CostWalk make(KernelVersion version, const JigsawTuning& tuning,
+                       std::size_t panels) {
+    CostWalk w;
+    w.version_ = version;
+    w.tuning_ = tuning;
+    // jigsaw-lint: allow(hot-path-alloc): compile-time walk storage
+    w.panels_.resize(panels);
+    return w;
+  }
+};
+
+bool CostWalk::operator==(const CostWalk& other) const {
+  static_assert(sizeof(Panel) ==
+                    sizeof(gpusim::KernelCounters) + 4 * sizeof(double),
+                "Panel is all doubles (no padding), so a bytewise compare "
+                "is exact");
+  return version_ == other.version_ && tuning_ == other.tuning_ &&
+         panels_.size() == other.panels_.size() &&
+         (panels_.empty() ||
+          std::memcmp(panels_.data(), other.panels_.data(),
+                      panels_.size() * sizeof(Panel)) == 0);
+}
+
 namespace {
 
-/// Per-panel structural measurements accumulated by the cost walk.
-struct PanelWalk {
-  gpusim::KernelCounters per_block;  ///< counters of one (panel, n-block)
-  double b_gmem_bytes = 0;           ///< gathered B bytes per block
-  double a_gmem_bytes = 0;           ///< format bytes per block
-  double mma_sp_issues = 0;          ///< mma.sp instructions per block
-  double ldmatrix_issues = 0;        ///< ldmatrix instructions per block
-};
+using PanelWalk = CostWalkAccess::Panel;
 
 PanelWalk walk_panel(const JigsawFormat& f, std::uint32_t p,
                      const KernelFeatures& feats, const JigsawTuning& tuning,
@@ -428,30 +454,34 @@ PanelWalk walk_panel(const JigsawFormat& f, std::uint32_t p,
   return walk;
 }
 
-/// One parallel sweep over every panel's structural cost walk. Shared by
-/// jigsaw_cost and jigsaw_cost_event so the (expensive, ldmatrix-replaying)
-/// walk happens once per cost query, not once per consumer.
-std::vector<PanelWalk> compute_panel_walks(const JigsawFormat& f,
-                                           const KernelFeatures& feats,
-                                           const JigsawTuning& tuning,
-                                           const gpusim::ArchSpec& arch) {
-  // jigsaw-lint: allow(hot-path-alloc): cold cost-walk scratch, one per query
-  std::vector<PanelWalk> walks(f.panels().size());
-  parallel_for(static_cast<std::int64_t>(walks.size()), [&](std::int64_t p) {
-    walks[static_cast<std::size_t>(p)] = walk_panel(
-        f, static_cast<std::uint32_t>(p), feats, tuning, arch);
+/// Walks `panels` of `f` in parallel into `walk`. The one place a panel
+/// walk happens, hence the one place it is counted (kernel.panel_walks).
+void walk_panels(const JigsawFormat& f, const std::size_t* panels,
+                 std::size_t count, const gpusim::ArchSpec& arch,
+                 CostWalk& walk) {
+  JIGSAW_TRACE_SCOPE("kernel", "kernel.panel_walk");
+  const KernelFeatures feats = KernelFeatures::for_version(walk.version());
+  const JigsawTuning& tuning = CostWalkAccess::tuning(walk);
+  std::vector<PanelWalk>& out = CostWalkAccess::panels(walk);
+  parallel_for(static_cast<std::int64_t>(count), [&](std::int64_t i) {
+    const std::size_t p =
+        panels != nullptr ? panels[i] : static_cast<std::size_t>(i);
+    out[p] = walk_panel(f, static_cast<std::uint32_t>(p), feats, tuning, arch);
   });
-  return walks;
+  if (obs::metrics_enabled()) {
+    obs::add("kernel.panel_walks", static_cast<double>(count));
+  }
 }
 
 /// Folds precomputed panel walks into the analytic kernel report (totals,
 /// DRAM/L2 reuse split, epilogue cost, launch config, obs counters).
 gpusim::KernelReport cost_from_walks(const JigsawFormat& f,
-                                     const std::vector<PanelWalk>& walks,
-                                     std::size_t n, KernelVersion version,
+                                     const CostWalk& walk, std::size_t n,
                                      const gpusim::CostModel& cost_model,
-                                     const JigsawTuning& tuning,
                                      const Epilogue& epilogue) {
+  const std::vector<PanelWalk>& walks = CostWalkAccess::panels(walk);
+  const JigsawTuning& tuning = CostWalkAccess::tuning(walk);
+  const KernelVersion version = walk.version();
   const std::size_t num_panels = f.panels().size();
   const std::size_t nblocks_per_panel = (n + kBlockTileN - 1) / kBlockTileN;
 
@@ -529,17 +559,46 @@ gpusim::KernelReport cost_from_walks(const JigsawFormat& f,
 
 }  // namespace
 
+CostWalk cost_walk(const JigsawFormat& f, KernelVersion version,
+                   const gpusim::ArchSpec& arch, const JigsawTuning& tuning) {
+  CostWalk walk = CostWalkAccess::make(version, tuning, f.panels().size());
+  walk_panels(f, nullptr, f.panels().size(), arch, walk);
+  return walk;
+}
+
+CostWalk cost_walk_panels(const CostWalk& base, const JigsawFormat& f,
+                          const std::vector<std::size_t>& panels,
+                          const gpusim::ArchSpec& arch) {
+  JIGSAW_CHECK_MSG(base.panel_count() == f.panels().size(),
+                   "re-walk of a format with " << f.panels().size()
+                                               << " panels against a walk of "
+                                               << base.panel_count());
+  for (const std::size_t p : panels) JIGSAW_CHECK(p < f.panels().size());
+  CostWalk walk = base;
+  walk_panels(f, panels.data(), panels.size(), arch, walk);
+  return walk;
+}
+
+gpusim::KernelReport jigsaw_cost(const JigsawFormat& f, const CostWalk& walk,
+                                 std::size_t n,
+                                 const gpusim::CostModel& cost_model,
+                                 const Epilogue& epilogue) {
+  JIGSAW_TRACE_SCOPE("kernel", "kernel.cost_walk");
+  JIGSAW_CHECK_MSG(walk.panel_count() == f.panels().size(),
+                   "cost walk of " << walk.panel_count()
+                                   << " panels for a format with "
+                                   << f.panels().size());
+  return cost_from_walks(f, walk, n, cost_model, epilogue);
+}
+
 gpusim::KernelReport jigsaw_cost(const JigsawFormat& f, std::size_t n,
                                  KernelVersion version,
                                  const gpusim::CostModel& cost_model,
                                  const JigsawTuning& tuning,
                                  const Epilogue& epilogue) {
   JIGSAW_TRACE_SCOPE("kernel", "kernel.cost_walk");
-  const KernelFeatures feats = KernelFeatures::for_version(version);
-  // jigsaw-lint: allow(hot-path-alloc): move-init from the walk sweep
-  const std::vector<PanelWalk> walks =
-      compute_panel_walks(f, feats, tuning, cost_model.arch());
-  return cost_from_walks(f, walks, n, version, cost_model, tuning, epilogue);
+  const CostWalk walk = cost_walk(f, version, cost_model.arch(), tuning);
+  return cost_from_walks(f, walk, n, cost_model, epilogue);
 }
 
 JigsawEventCost jigsaw_cost_event(const JigsawFormat& f, std::size_t n,
@@ -547,15 +606,13 @@ JigsawEventCost jigsaw_cost_event(const JigsawFormat& f, std::size_t n,
                                   const gpusim::CostModel& cost_model,
                                   const JigsawTuning& tuning) {
   JIGSAW_TRACE_SCOPE("kernel", "kernel.cost_event");
-  const KernelFeatures feats = KernelFeatures::for_version(version);
   const gpusim::ArchSpec& arch = cost_model.arch();
   // One walk sweep feeds both the analytic report and the per-block
   // durations below (previously every panel was walked twice).
-  // jigsaw-lint: allow(hot-path-alloc): move-init from the walk sweep
-  const std::vector<PanelWalk> walks =
-      compute_panel_walks(f, feats, tuning, arch);
+  const CostWalk walked = cost_walk(f, version, arch, tuning);
+  const std::vector<PanelWalk>& walks = CostWalkAccess::panels(walked);
   JigsawEventCost out;
-  out.report = cost_from_walks(f, walks, n, version, cost_model, tuning, {});
+  out.report = cost_from_walks(f, walked, n, cost_model, {});
   const std::size_t num_panels = f.panels().size();
   const std::size_t nblocks_per_panel = (n + kBlockTileN - 1) / kBlockTileN;
   const int bpsm = out.report.occupancy.blocks_per_sm;
@@ -605,26 +662,47 @@ JigsawEventCost jigsaw_cost_event(const JigsawFormat& f, std::size_t n,
   return out;
 }
 
+BlockTileChoice choose_block_tile(const JigsawPlan& plan,
+                                  const std::vector<CostWalk>& walks,
+                                  std::size_t n,
+                                  const gpusim::CostModel& cost_model,
+                                  const Epilogue& epilogue) {
+  JIGSAW_CHECK_MSG(!plan.formats.empty(), "empty plan");
+  JIGSAW_CHECK_MSG(walks.size() == plan.formats.size(),
+                   walks.size() << " cost walks for " << plan.formats.size()
+                                << " BLOCK_TILE candidates");
+  BlockTileChoice choice;
+  for (std::size_t i = 0; i < plan.formats.size(); ++i) {
+    gpusim::KernelReport report =
+        jigsaw_cost(plan.formats[i], walks[i], n, cost_model, epilogue);
+    if (i == 0 || report.duration_cycles < choice.report.duration_cycles) {
+      choice.report = std::move(report);
+      choice.index = i;
+    }
+  }
+  return choice;
+}
+
 JigsawRunResult jigsaw_run(const JigsawPlan& plan,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,
                            const JigsawRunOptions& options) {
   JIGSAW_TRACE_SCOPE("kernel", "kernel.run");
   JIGSAW_CHECK_MSG(!plan.formats.empty(), "empty plan");
-  JigsawRunResult result;
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < plan.formats.size(); ++i) {
-    gpusim::KernelReport report =
-        jigsaw_cost(plan.formats[i], b.cols(), plan.version, cost_model,
-                    options.tuning, options.epilogue);
-    if (i == 0 || report.duration_cycles < result.report.duration_cycles) {
-      result.report = std::move(report);
-      best = i;
-    }
+  // jigsaw-lint: allow(hot-path-alloc): one walk per candidate, per call
+  std::vector<CostWalk> walks;
+  walks.reserve(plan.formats.size());
+  for (const JigsawFormat& f : plan.formats) {
+    walks.push_back(cost_walk(f, plan.version, cost_model.arch()));
   }
-  result.selected_block_tile = plan.formats[best].tile_config().block_tile_m;
+  BlockTileChoice choice =
+      choose_block_tile(plan, walks, b.cols(), cost_model, options.epilogue);
+  JigsawRunResult result;
+  result.report = std::move(choice.report);
+  result.selected_block_tile =
+      plan.formats[choice.index].tile_config().block_tile_m;
   if (options.compute_values) {
-    result.c = jigsaw_compute(plan.formats[best], b, options.epilogue);
+    result.c = jigsaw_compute(plan.formats[choice.index], b, options.epilogue);
   }
   return result;
 }

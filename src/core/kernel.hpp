@@ -69,9 +69,9 @@ struct JigsawRunResult {
 };
 
 /// Executes the kernel against a dense RHS: always produces the simulated
-/// kernel report; optionally also the exact numeric result. For V4 plans
-/// the candidate with the lowest simulated duration is selected (the
-/// paper's empirical tuning).
+/// kernel report (default JigsawTuning); optionally also the exact numeric
+/// result. For V4 plans the candidate with the lowest simulated duration is
+/// selected (the paper's empirical tuning, choose_block_tile).
 JigsawRunResult jigsaw_run(const JigsawPlan& plan,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,
@@ -100,12 +100,78 @@ void jigsaw_compute_into(const JigsawFormat& format,
                          const Epilogue& epilogue = {},
                          std::size_t panel_cols = 0);
 
-/// Cost walk only: simulated report for one format at one kernel version.
+/// The n-independent half of the cost walk: per-panel structural counts
+/// (instructions, transactions, replayed bank conflicts, bytes per 64-wide
+/// n-block) of one format at one kernel version and tuning. It depends on
+/// nothing a request supplies, so a serving artifact takes it once at
+/// compile time and folds it per request (jigsaw_cost below) — the
+/// paper's one-time BLOCK_TILE tuning (§3.1) without re-walking.
+class CostWalk {
+ public:
+  CostWalk() = default;
+
+  KernelVersion version() const { return version_; }
+  std::size_t panel_count() const { return panels_.size(); }
+  /// Resident size, charged to the engine's plan cache.
+  std::size_t bytes() const { return panels_.size() * sizeof(Panel); }
+  /// Exact (bitwise) equality of every panel's counts.
+  bool operator==(const CostWalk& other) const;
+
+ private:
+  friend struct CostWalkAccess;  // kernel.cpp
+
+  struct Panel {
+    gpusim::KernelCounters per_block;  ///< counters of one (panel, n-block)
+    double b_gmem_bytes = 0;           ///< gathered B bytes per block
+    double a_gmem_bytes = 0;           ///< format bytes per block
+    double mma_sp_issues = 0;          ///< mma.sp instructions per block
+    double ldmatrix_issues = 0;        ///< ldmatrix instructions per block
+  };
+
+  KernelVersion version_ = KernelVersion::kV4;
+  JigsawTuning tuning_{};
+  std::vector<Panel> panels_;
+};
+
+/// Walks every panel of `format` on `arch` (parallel over panels).
+CostWalk cost_walk(const JigsawFormat& format, KernelVersion version,
+                   const gpusim::ArchSpec& arch,
+                   const JigsawTuning& tuning = {});
+
+/// `base` with only `panels` re-walked against `format` — the walk of a
+/// format whose other panels are unchanged since `base` was taken
+/// (JigsawFormat::rebuild_panels). Equal to a fresh cost_walk of `format`.
+CostWalk cost_walk_panels(const CostWalk& base, const JigsawFormat& format,
+                          const std::vector<std::size_t>& panels,
+                          const gpusim::ArchSpec& arch);
+
+/// Folds a walk into the simulated report at an n-column RHS. `walk` must
+/// be a walk of `format` on cost_model.arch().
+gpusim::KernelReport jigsaw_cost(const JigsawFormat& format,
+                                 const CostWalk& walk, std::size_t n,
+                                 const gpusim::CostModel& cost_model,
+                                 const Epilogue& epilogue = {});
+
+/// Cost walk only: simulated report for one format at one kernel version
+/// (cost_walk + the fold above).
 gpusim::KernelReport jigsaw_cost(const JigsawFormat& format, std::size_t n,
                                  KernelVersion version,
                                  const gpusim::CostModel& cost_model,
                                  const JigsawTuning& tuning = {},
                                  const Epilogue& epilogue = {});
+
+/// V4's empirical BLOCK_TILE tuning: the candidate of `plan` with the
+/// lowest simulated duration at n (the first one on a tie) and its report.
+/// `walks` holds one walk per plan.formats entry.
+struct BlockTileChoice {
+  std::size_t index = 0;
+  gpusim::KernelReport report;
+};
+BlockTileChoice choose_block_tile(const JigsawPlan& plan,
+                                  const std::vector<CostWalk>& walks,
+                                  std::size_t n,
+                                  const gpusim::CostModel& cost_model,
+                                  const Epilogue& epilogue = {});
 
 /// Event-level refinement of the cost walk: instead of the analytic wave
 /// factor, per-block durations (variable across panels — heavy panels keep

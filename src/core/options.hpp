@@ -12,10 +12,12 @@
 //     sections on the same matrix produce interchangeable artifacts, which
 //     is what makes the engine's plan cache sound.
 //   * EngineOptions::Run — everything that varies per execution against an
-//     already-compiled artifact (value computation, latency-model tuning,
-//     fused epilogue). Run options never invalidate a cached artifact.
+//     already-compiled artifact (value computation, fused epilogue). Run
+//     options never invalidate a cached artifact.
 //
 // plus the ExecutionPolicy selecting which tier executes the artifact.
+// JigsawTuning is neither: it calibrates the simulated device, so the
+// engine takes it once, in EngineConfig, next to the cost model.
 // The legacy names survive as thin deprecated aliases (bottom of this
 // header and checked.hpp) so existing call sites keep compiling; new code
 // should spell the sections directly. See docs/API.md for the migration
@@ -56,6 +58,8 @@ struct JigsawTuning {
   /// Loop/index bookkeeping instructions per k-step per warp.
   double loop_insts_per_kstep_per_warp = 14.0;
   int regs_per_thread = 96;
+
+  bool operator==(const JigsawTuning&) const = default;
 };
 
 /// Fused epilogue applied to the C tile in registers before the global
@@ -126,7 +130,6 @@ struct EngineOptions {
   /// artifact.
   struct Run {
     bool compute_values = true;  ///< run the functional path
-    JigsawTuning tuning{};
     Epilogue epilogue{};  ///< fused bias/activation (§ inference use)
   };
 

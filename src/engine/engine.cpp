@@ -257,6 +257,12 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
               "instead");
         }
         primary = &cm->plan.reorders[chosen];
+        // The n-independent half of V4's BLOCK_TILE tuning, once; execute
+        // folds these per request.
+        for (const core::JigsawFormat& f : cm->plan.formats) {
+          cm->walks.push_back(core::cost_walk(
+              f, cm->plan.version, config_.cost_model.arch(), config_.tuning));
+        }
         break;
       }
     }
@@ -307,17 +313,15 @@ Status Engine::finalize_artifact(CompiledMatrix& cm,
   for (const core::JigsawFormat& f : cm.plan.formats) {
     bytes += footprint_of(f);
   }
+  for (const core::CostWalk& w : cm.walks) bytes += w.bytes();
   if (cm.hybrid.has_value()) {
-    bytes += footprint_of(cm.hybrid->format);
-    for (const core::PanelRouting& r : cm.hybrid->routing) {
-      bytes += (r.dense_columns.size() + r.cuda_columns.size()) *
-               sizeof(std::uint32_t);
-    }
+    // The SpTC subset plus the routed columns the pipes read, gathered
+    // out of the operand at plan time.
+    bytes += footprint_of(cm.hybrid->format) + cm.hybrid->pipe_bytes();
   }
-  if (cm.hybrid.has_value() || cm.updatable) {
-    // The hybrid pipes read their columns from the original operand, and
-    // Engine::update applies deltas against it — either way the operand
-    // stays resident with the artifact and is charged to the cache.
+  if (cm.updatable) {
+    // Engine::update applies deltas against the operand, so it stays
+    // resident with the artifact and is charged to the cache.
     cm.lhs = a;
     bytes += a.rows() * a.cols() * sizeof(fp16_t);
   }
@@ -390,11 +394,14 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
       cm->interleaved_format =
           base.interleaved_format.rebuild_panels(a2, *primary, dirty);
     } else {
-      // kRaw: splice every BLOCK_TILE candidate (V4 carries three), then
-      // re-run the candidate selection against the updated plans.
+      // kRaw: splice every BLOCK_TILE candidate (V4 carries three) and
+      // re-walk its dirty panels, then re-run the candidate selection
+      // against the updated plans.
       const core::KernelFeatures feats =
           core::KernelFeatures::for_version(base.options.version);
       cm->plan.version = base.options.version;
+      JIGSAW_CHECK_MSG(base.walks.size() == base.plan.formats.size(),
+                       "kRaw artifact without one cost walk per candidate");
       std::vector<std::vector<std::size_t>> dirties;
       dirties.reserve(base.plan.reorders.size());
       for (std::size_t i = 0; i < base.plan.reorders.size(); ++i) {
@@ -408,6 +415,9 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
         panels_replanned += dirty.size();
         cm->plan.formats.push_back(
             base.plan.formats[i].rebuild_panels(a2, reorder, dirty));
+        cm->walks.push_back(core::cost_walk_panels(
+            base.walks[i], cm->plan.formats.back(), dirty,
+            config_.cost_model.arch()));
         cm->plan.reorders.push_back(std::move(reorder));
         dirties.push_back(std::move(dirty));
       }
@@ -573,43 +583,38 @@ Result<DenseMatrix<float>> Engine::execute(
                       std::to_string(b.rows()));
   }
   try {
-    DenseMatrix<float> c(0, 0);
-    if (hybrid_route(handle)) {
-      core::HybridRunResult rr =
-          core::hybrid_run(*handle.hybrid, handle.lhs, b, config_.cost_model,
-                           {.compute_values = true, .tuning = run.tuning});
-      JIGSAW_CHECK_MSG(rr.c.has_value(), "hybrid_run dropped the values");
-      c = std::move(*rr.c);
-      // hybrid_run fuses three pipes and ignores the epilogue; apply it
-      // on the merged product.
-      apply_epilogue(c, run.epilogue);
-    } else if (handle.policy == ExecutionPolicy::kRaw) {
-      core::JigsawRunResult rr = core::jigsaw_run(
-          handle.plan, b, config_.cost_model,
-          {.compute_values = true, .tuning = run.tuning,
-           .epilogue = run.epilogue});
-      JIGSAW_CHECK_MSG(rr.c.has_value(), "jigsaw_run dropped the values");
-      c = std::move(*rr.c);
-    } else {
-      // Steady-state serving path: pre-size the output, then count heap
-      // traffic across the kernel proper. On a warmed-up worker (arena
-      // grown, pool caches primed) the delta is zero — the regression
-      // test in test_engine.cpp pins that down. The hybrid and kRaw
-      // branches run cost walks with inherent cold allocations and are
-      // deliberately outside the window.
-      c = DenseMatrix<float>(handle.rows, b.cols());
-      const std::uint64_t heap_before = heap_allocation_count();
-      core::jigsaw_compute_into(handle.format(), b, c, run.epilogue);
-      const std::uint64_t heap_delta =
-          heap_allocation_count() - heap_before;
-      // Cached reference: a registry lookup hashes the name and may
-      // itself allocate, which would poison the window on the next call.
-      static obs::Counter& submit_allocs =
-          // jigsaw-lint: allow(obs-name): the counter is named after the
-          // serving API surface (engine.submit), not an obs subsystem.
-          obs::counter("jigsaw.engine.submit.allocations");
-      submit_allocs.add(static_cast<double>(heap_delta));
+    // One path for every policy: pick the format, compute, run the
+    // fallback pipes if the artifact has them, apply the epilogue.
+    const bool pipes = hybrid_route(handle);
+    const core::JigsawFormat* format = &handle.format();
+    if (handle.policy == ExecutionPolicy::kRaw) {
+      // The BLOCK_TILE for this n: a fold of the compile-time walks.
+      format = &handle.plan.formats[core::choose_block_tile(
+                                        handle.plan, handle.walks, b.cols(),
+                                        config_.cost_model, run.epilogue)
+                                        .index];
     }
+    DenseMatrix<float> c(handle.rows, b.cols());
+    // Heap traffic on this thread across the compute proper. On a
+    // warmed-up worker (arena grown, pool caches primed) the delta is
+    // zero — the regression tests in test_engine.cpp pin that down.
+    const std::uint64_t heap_before = heap_allocation_count();
+    if (pipes) {
+      // The SpTC subset and the two fallback pipes fuse into one
+      // product; the epilogue follows it.
+      core::hybrid_compute_into(*handle.hybrid, b, c);
+    } else {
+      core::jigsaw_compute_into(*format, b, c, run.epilogue);
+    }
+    const std::uint64_t heap_delta = heap_allocation_count() - heap_before;
+    if (pipes) apply_epilogue(c, run.epilogue);
+    // Cached reference: a registry lookup hashes the name and may itself
+    // allocate, which would poison the window on the next call.
+    static obs::Counter& submit_allocs =
+        // jigsaw-lint: allow(obs-name): the counter is named after the
+        // serving API surface (engine.submit), not an obs subsystem.
+        obs::counter("jigsaw.engine.submit.allocations");
+    submit_allocs.add(static_cast<double>(heap_delta));
     obs::observe(
         "engine.execute_seconds",
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -639,26 +644,16 @@ std::future<Result<DenseMatrix<float>>> Engine::submit(
 gpusim::KernelReport Engine::cost(const CompiledMatrix& handle, std::size_t n,
                                   const EngineOptions::Run& run) const {
   if (hybrid_route(handle)) {
-    DenseMatrix<fp16_t> b(handle.cols, n);
-    core::HybridRunResult rr =
-        core::hybrid_run(*handle.hybrid, handle.lhs, b, config_.cost_model,
-                         {.compute_values = false, .tuning = run.tuning});
-    return rr.report;
+    return core::hybrid_cost(*handle.hybrid, n, config_.cost_model,
+                             config_.tuning);
   }
-  if (handle.policy == ExecutionPolicy::kRaw && !handle.plan.formats.empty()) {
-    gpusim::KernelReport best;
-    for (std::size_t i = 0; i < handle.plan.formats.size(); ++i) {
-      gpusim::KernelReport report = core::jigsaw_cost(
-          handle.plan.formats[i], n, handle.plan.version, config_.cost_model,
-          run.tuning, run.epilogue);
-      if (i == 0 || report.duration_cycles < best.duration_cycles) {
-        best = std::move(report);
-      }
-    }
-    return best;
+  if (handle.policy == ExecutionPolicy::kRaw) {
+    return core::choose_block_tile(handle.plan, handle.walks, n,
+                                   config_.cost_model, run.epilogue)
+        .report;
   }
   return core::jigsaw_cost(handle.format(), n, handle.options.version,
-                           config_.cost_model, run.tuning, run.epilogue);
+                           config_.cost_model, config_.tuning, run.epilogue);
 }
 
 }  // namespace jigsaw::engine

@@ -10,12 +10,16 @@
 //   auto future = engine.submit(handle.value(), b);  // cheap, concurrent
 //   DenseMatrix<float> c = future.get().value();
 //
-// compile() runs reorder → format build → kernel plan → hybrid routing
+// compile() runs reorder → format build → kernel plan (kRaw: plus each
+// BLOCK_TILE candidate's cost walk) → hybrid routing and column gather
 // once and returns an immutable CompiledMatrix; identical requests (same
 // matrix content, same options) are served from a sharded LRU cache
 // without re-running any preprocessing. submit() executes one RHS against
 // the shared read-only artifact on a fixed worker pool
-// (common/parallel.hpp), so independent batches run concurrently.
+// (common/parallel.hpp), so independent batches run concurrently. Every
+// route executes the same way — pick the format, jigsaw_compute_into,
+// the fallback pipes if the artifact has them, the epilogue — and costs
+// nothing; simulated reports come from Engine::cost alone.
 // ExecutionPolicy picks the route once, at compile time:
 //
 //   kRaw      the trusted jigsaw_plan/jigsaw_run path; a matrix that
@@ -64,6 +68,11 @@ struct EngineConfig {
   int worker_threads = 0;
   /// Simulated device all executions are costed against.
   gpusim::CostModel cost_model{};
+  /// Latency-model calibration of that device. It shapes the cost walks
+  /// kRaw artifacts take at compile time (and Engine::cost), so it is
+  /// fixed per engine rather than passed per request: the walks an
+  /// artifact stores always match the tuning execute folds them with.
+  core::JigsawTuning tuning{};
 };
 
 /// One batch of point mutations against the source operand of an
@@ -106,6 +115,11 @@ struct CompiledMatrix {
   /// candidates). Formats are version-independent, so any KernelVersion
   /// can be costed against these — see Engine::cost.
   core::JigsawPlan plan;
+  /// kRaw only: the n-independent cost walk of each plan.formats
+  /// candidate, taken at compile time against EngineConfig's cost model
+  /// and tuning. Execute folds them for the request's n and epilogue to
+  /// pick the BLOCK_TILE (core::choose_block_tile) — no walk per request.
+  std::vector<core::CostWalk> walks;
   /// The primary reorder in both §3.4.3 metadata layouts;
   /// options.metadata_layout selects which one execution reads.
   core::JigsawFormat naive_format;
@@ -115,9 +129,9 @@ struct CompiledMatrix {
   std::optional<core::HybridPlan> hybrid;
   core::DegradationReport degradation;
   bool degraded = false;
-  /// The operand is retained when `hybrid` is set (the dense-TC /
-  /// CUDA-core pipes read their columns from the original matrix) or the
-  /// artifact is updatable (Engine::update applies deltas to it).
+  /// The operand, retained only when the artifact is updatable
+  /// (Engine::update applies deltas to it); empty otherwise. The hybrid
+  /// pipes read the columns gathered into `hybrid` instead.
   DenseMatrix<fp16_t> lhs;
 
   double compile_seconds = 0.0;   ///< measured, cache misses only
@@ -213,9 +227,10 @@ class Engine {
       const EngineOptions::Run& run = {}) const;
 
   /// Simulated kernel report of executing this artifact against an
-  /// n-column RHS at `version` (defaults to the compiled version). Raw
-  /// artifacts report the best BLOCK_TILE candidate; degraded/hybrid
-  /// artifacts report the fused three-pipe kernel.
+  /// n-column RHS at the compiled version. Raw artifacts report the
+  /// BLOCK_TILE candidate execute picks (folded from the stored walks);
+  /// degraded/hybrid artifacts report the fused three-pipe kernel. The
+  /// only costing the engine does: execute itself only computes.
   gpusim::KernelReport cost(const CompiledMatrix& handle, std::size_t n,
                             const EngineOptions::Run& run = {}) const;
 
@@ -264,8 +279,8 @@ class Engine {
       const std::vector<bool>& row_dirty) const;
 
   /// Shared artifact tail: validates both layout formats, computes the
-  /// resident footprint (retaining the operand for hybrid/updatable
-  /// artifacts), and stamps the updatable flag.
+  /// resident footprint (retaining the operand for updatable artifacts),
+  /// and stamps the updatable flag.
   [[nodiscard]] Status finalize_artifact(CompiledMatrix& cm,
                                          const DenseMatrix<fp16_t>& a) const;
 

@@ -1,5 +1,5 @@
 // Tests for the per-worker scratch arenas (common/arena.hpp) and the
-// global heap-allocation counter (common/alloc_count.hpp) — the two
+// per-thread heap-allocation counter (common/alloc_count.hpp) — the two
 // pieces behind the engine's zero-allocation steady state.
 #include <gtest/gtest.h>
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>  // mkdtemp
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -25,20 +28,28 @@ CliResult run_cli(const std::vector<std::string>& args) {
   return {code, out.str(), err.str()};
 }
 
+/// Each test works in a fresh directory of its own (mkdtemp), removed
+/// afterwards, so the tests can run concurrently (`ctest -j`).
 class CliFiles : public ::testing::Test {
  protected:
   void SetUp() override {
-    mtx_ = "/tmp/jigsaw_cli_test.mtx";
-    jsf_ = "/tmp/jigsaw_cli_test.jsf";
+    std::string templ =
+        (std::filesystem::temp_directory_path() / "jigsaw_cli_XXXXXX")
+            .string();
+    ASSERT_NE(mkdtemp(templ.data()), nullptr) << "mkdtemp " << templ;
+    dir_ = templ;
+    mtx_ = (dir_ / "a.mtx").string();
+    jsf_ = (dir_ / "a.jsf").string();
     const auto r = run_cli({"generate", "--rows", "64", "--cols", "128",
                             "--sparsity", "0.9", "--vector-width", "4",
                             "--seed", "7", "--out", mtx_});
     ASSERT_EQ(r.code, 0) << r.err;
   }
   void TearDown() override {
-    std::remove(mtx_.c_str());
-    std::remove(jsf_.c_str());
+    std::error_code ec;
+    if (!dir_.empty()) std::filesystem::remove_all(dir_, ec);
   }
+  std::filesystem::path dir_;
   std::string mtx_, jsf_;
 };
 

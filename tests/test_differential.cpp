@@ -146,12 +146,12 @@ TEST(Differential, HybridRouteMatchesReferenceAndIsThreadCountInvariant) {
     HybridOptions serial_opts;
     serial_opts.reorder.max_threads = 1;
     const auto serial_plan = hybrid_plan(a, serial_opts);
-    const auto serial = hybrid_run(serial_plan, a, b, cm);
+    const auto serial = hybrid_run(serial_plan, b, cm);
 
     HybridOptions parallel_opts;
     parallel_opts.reorder.max_threads = 0;  // all available workers
     const auto parallel_plan = hybrid_plan(a, parallel_opts);
-    const auto parallel = hybrid_run(parallel_plan, a, b, cm);
+    const auto parallel = hybrid_run(parallel_plan, b, cm);
 
     ASSERT_TRUE(serial.c.has_value());
     ASSERT_TRUE(parallel.c.has_value());

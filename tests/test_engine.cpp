@@ -12,7 +12,11 @@
 //     stays exact.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <future>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/status.hpp"
@@ -69,6 +73,41 @@ DenseMatrix<fp16_t> adversarial_matrix() {
 
 double counter_value(const char* name) {
   return obs::counter(name).value();
+}
+
+bool bit_identical(const DenseMatrix<float>& x, const DenseMatrix<float>& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// Exact equality of two simulated reports: duration and every counter.
+void expect_same_report(const gpusim::KernelReport& x,
+                        const gpusim::KernelReport& y) {
+  EXPECT_EQ(x.name, y.name);
+  EXPECT_EQ(x.duration_cycles, y.duration_cycles);
+  EXPECT_EQ(x.duration_us, y.duration_us);
+  const gpusim::KernelCounters& a = x.counters;
+  const gpusim::KernelCounters& b = y.counters;
+  EXPECT_EQ(a.tc_fp16_macs, b.tc_fp16_macs);
+  EXPECT_EQ(a.sptc_macs, b.sptc_macs);
+  EXPECT_EQ(a.tc_int8_macs, b.tc_int8_macs);
+  EXPECT_EQ(a.cuda_macs, b.cuda_macs);
+  EXPECT_EQ(a.dram_read_bytes, b.dram_read_bytes);
+  EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes);
+  EXPECT_EQ(a.l2_read_bytes, b.l2_read_bytes);
+  EXPECT_EQ(a.smem_load_transactions, b.smem_load_transactions);
+  EXPECT_EQ(a.smem_store_transactions, b.smem_store_transactions);
+  EXPECT_EQ(a.smem_bank_conflicts, b.smem_bank_conflicts);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.long_scoreboard_warp_cycles, b.long_scoreboard_warp_cycles);
+  EXPECT_EQ(a.short_scoreboard_warp_cycles, b.short_scoreboard_warp_cycles);
+  EXPECT_EQ(a.barriers, b.barriers);
+}
+
+/// A matrix the checked tier degrades onto the hybrid pipes (at 50%
+/// sparsity whole panels fail the §4.3 reorder).
+DenseMatrix<fp16_t> degrading_lhs() {
+  return dlmc::make_lhs({128, 256}, 0.5, 2, 77).values();
 }
 
 // ---- Cache identity -------------------------------------------------------
@@ -349,6 +388,209 @@ TEST(EngineSteadyState, AllocationCounterTracksColdSubmits) {
   EXPECT_GT(counter_value("jigsaw.engine.submit.allocations"), 0.0)
       << "cold submit should have grown the worker arena in-window";
   obs::set_metrics_enabled(false);
+}
+
+TEST(EngineSteadyState, WarmedUpSubmitCountsZeroBesideAnAllocatingThread) {
+  // The counter is per thread: another thread allocating flat out during
+  // the measured submits must not leak into the window.
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  EngineConfig config;
+  config.worker_threads = 1;
+  Engine engine(config);
+  const auto a = lhs_for({128, 256, 80, 4, 22});
+  const auto b = dlmc::make_rhs(256, 64, 7);
+  auto compiled = engine.compile(a);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.submit(compiled.value(), b).get().ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> churned{0};
+  std::thread churn([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto block = std::make_unique<std::uint64_t[]>(64);
+      block[0] = churned.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (churned.load() == 0) std::this_thread::yield();
+  const double before = counter_value("jigsaw.engine.submit.allocations");
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(engine.submit(compiled.value(), b).get().ok());
+  }
+  const double delta =
+      counter_value("jigsaw.engine.submit.allocations") - before;
+  const std::uint64_t churned_before_stop = churned.load();
+  stop.store(true);
+  churn.join();
+  EXPECT_GT(churned_before_stop, 0u);
+  EXPECT_EQ(delta, 0.0) << "another thread's allocations leaked into the "
+                           "submit window: "
+                        << delta;
+  obs::set_metrics_enabled(false);
+}
+
+// ---- One execute path: costing happens at compile time --------------------
+
+TEST(EngineExecutePath, RawExecuteMatchesJigsawRunAcrossN) {
+  // kRaw picks its BLOCK_TILE per request by folding the walks stored at
+  // compile time; product and choice must equal jigsaw_run's, which walks
+  // every candidate afresh. n covers partial and odd 64-wide block counts.
+  Engine engine;
+  const auto a = dlmc::make_lhs({128, 256}, 0.85, 4, 5).values();
+  EngineOptions options;
+  options.policy = ExecutionPolicy::kRaw;
+  auto compiled = engine.compile(a, options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  const CompiledMatrix& handle = *compiled.value();
+  ASSERT_EQ(handle.plan.formats.size(), 3u);
+  ASSERT_EQ(handle.walks.size(), 3u);
+  const std::vector<float> bias(a.rows(), 0.125f);
+
+  for (const std::size_t n : {1, 8, 64, 130, 192, 256, 320, 512}) {
+    const auto b = dlmc::make_rhs(a.cols(), n, 40 + n);
+    for (const bool fused : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " epilogue=" << fused);
+      EngineOptions::Run run;
+      if (fused) {
+        run.epilogue.bias = &bias;
+        run.epilogue.activation = core::Epilogue::Activation::kGelu;
+      }
+      const core::JigsawRunResult ref =
+          core::jigsaw_run(handle.plan, b, engine.config().cost_model, run);
+      auto got = engine.execute(handle, b, run);
+      ASSERT_TRUE(got.ok()) << got.status().to_string();
+      ASSERT_TRUE(ref.c.has_value());
+      EXPECT_TRUE(bit_identical(got.value(), *ref.c));
+      const core::BlockTileChoice choice = core::choose_block_tile(
+          handle.plan, handle.walks, n, engine.config().cost_model,
+          run.epilogue);
+      EXPECT_EQ(handle.plan.formats[choice.index].tile_config().block_tile_m,
+                ref.selected_block_tile);
+      expect_same_report(engine.cost(handle, n, run), ref.report);
+    }
+  }
+}
+
+TEST(EngineExecutePath, CostEqualsCoreCostingForEveryRoute) {
+  // Engine::cost is the only place the engine costs; its reports must be
+  // exactly what the core entry points report for the same artifact.
+  Engine engine;
+  const gpusim::CostModel& cm = engine.config().cost_model;
+  const auto clean = sample_lhs();
+  const auto degrading = degrading_lhs();
+  for (const std::size_t n : {8, 130, 256}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    EngineOptions raw;
+    raw.policy = ExecutionPolicy::kRaw;
+    auto r = engine.compile(clean, raw);
+    ASSERT_TRUE(r.ok());
+    expect_same_report(
+        engine.cost(*r.value(), n),
+        core::jigsaw_run(r.value()->plan, dlmc::make_rhs(clean.cols(), n, 1),
+                         cm, {.compute_values = false})
+            .report);
+
+    auto c = engine.compile(clean);
+    ASSERT_TRUE(c.ok());
+    ASSERT_FALSE(c.value()->degraded);
+    expect_same_report(engine.cost(*c.value(), n),
+                       core::jigsaw_cost(c.value()->format(), n,
+                                         core::KernelVersion::kV4, cm));
+
+    auto d = engine.compile(degrading);
+    ASSERT_TRUE(d.ok());
+    ASSERT_TRUE(d.value()->degraded);
+    const auto bd = dlmc::make_rhs(degrading.cols(), n, 2);
+    expect_same_report(engine.cost(*d.value(), n),
+                       core::hybrid_run(*d.value()->hybrid, bd, cm,
+                                        {.compute_values = false})
+                           .report);
+    auto checked = core::run_spmm_checked(degrading, bd, cm);
+    ASSERT_TRUE(checked.ok());
+    expect_same_report(engine.cost(*d.value(), n), checked.value().report);
+
+    EngineOptions hybrid;
+    hybrid.policy = ExecutionPolicy::kHybrid;
+    auto h = engine.compile(clean, hybrid);
+    ASSERT_TRUE(h.ok());
+    expect_same_report(
+        engine.cost(*h.value(), n),
+        core::hybrid_cost(*h.value()->hybrid, n, cm));
+  }
+}
+
+TEST(EngineExecutePath, WarmExecutesWalkNoPanelAndAllocateNothing) {
+  // Regression guard for the cost-free execute path: once warm, kRaw and
+  // hybrid-pipe requests neither walk a panel (kernel.panel_walks) nor
+  // touch the heap inside the compute window.
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  EngineConfig config;
+  config.worker_threads = 1;
+  Engine engine(config);
+  EngineOptions raw;
+  raw.policy = ExecutionPolicy::kRaw;
+  EngineOptions hybrid;
+  hybrid.policy = ExecutionPolicy::kHybrid;
+  const auto clean = dlmc::make_lhs({128, 256}, 0.85, 4, 5).values();
+  const auto degrading = degrading_lhs();
+  struct Case {
+    const DenseMatrix<fp16_t>* a;
+    EngineOptions options;
+  };
+  const std::vector<Case> cases = {
+      {&clean, raw}, {&clean, hybrid}, {&degrading, EngineOptions{}}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(core::to_string(c.options.policy));
+    auto compiled = engine.compile(*c.a, c.options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+    const auto b = dlmc::make_rhs(c.a->cols(), 96, 3);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(engine.submit(compiled.value(), b).get().ok());
+    }
+    const double walks = counter_value("kernel.panel_walks");
+    const double allocs = counter_value("jigsaw.engine.submit.allocations");
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(engine.submit(compiled.value(), b).get().ok());
+    }
+    EXPECT_EQ(counter_value("kernel.panel_walks"), walks);
+    EXPECT_EQ(counter_value("jigsaw.engine.submit.allocations"), allocs);
+  }
+  obs::set_metrics_enabled(false);
+}
+
+TEST(EngineExecutePath, HybridArtifactsKeepGatheredColumnsNotTheOperand) {
+  Engine engine;
+  const auto a = degrading_lhs();
+  for (const bool updatable : {false, true}) {
+    for (const ExecutionPolicy policy :
+         {ExecutionPolicy::kChecked, ExecutionPolicy::kHybrid}) {
+      SCOPED_TRACE(::testing::Message() << core::to_string(policy)
+                                        << " updatable=" << updatable);
+      EngineOptions options;
+      options.policy = policy;
+      options.compile.updatable = updatable;
+      auto compiled = engine.compile(a, options);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+      const CompiledMatrix& cm = *compiled.value();
+      ASSERT_TRUE(cm.hybrid.has_value());
+      EXPECT_GT(cm.hybrid->pipe_bytes(), 0u);
+      const std::size_t operand = a.rows() * a.cols() * sizeof(fp16_t);
+      const std::size_t expected =
+          cm.naive_format.memory_footprint().total() +
+          cm.interleaved_format.memory_footprint().total() +
+          cm.hybrid->format.memory_footprint().total() +
+          cm.hybrid->pipe_bytes() + (updatable ? operand : 0);
+      EXPECT_EQ(cm.footprint_bytes, expected);
+      EXPECT_EQ(cm.lhs.size(), updatable ? a.size() : 0u);
+      const auto b = dlmc::make_rhs(a.cols(), 48, 9);
+      auto result = engine.execute(cm, b);
+      ASSERT_TRUE(result.ok());
+      EXPECT_TRUE(allclose(result.value(), reference_gemm(a, b), a.cols()));
+    }
+  }
 }
 
 // ---- Concurrency ----------------------------------------------------------

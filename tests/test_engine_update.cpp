@@ -216,6 +216,41 @@ TEST(EngineUpdateDifferential, CheckedAndRawTakeTheIncrementalPath) {
   obs::set_metrics_enabled(false);
 }
 
+TEST(EngineUpdateDifferential, RawWalksAndSelectionMatchAFreshCompile) {
+  // kRaw re-walks only the dirty panels of each BLOCK_TILE candidate; the
+  // spliced walks must equal a fresh compile's, and so must the BLOCK_TILE
+  // every n folds them to.
+  EngineOptions options;
+  options.policy = ExecutionPolicy::kRaw;
+  options.compile.updatable = true;
+  DenseMatrix<fp16_t> mirror = dlmc::make_lhs({96, 128}, 0.85, 4, 7201).values();
+  Engine engine;
+  auto compiled = engine.compile(mirror, options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  auto current = compiled.value();
+  Rng rng(7202);
+  for (std::size_t step = 1; step <= 3; ++step) {
+    auto updated = engine.update(current, random_delta(rng, mirror, 12));
+    ASSERT_TRUE(updated.ok()) << updated.status().to_string();
+    current = updated.value();
+    Engine fresh;
+    auto scratch = fresh.compile(mirror, options);
+    ASSERT_TRUE(scratch.ok()) << scratch.status().to_string();
+    ASSERT_EQ(current->walks.size(), 3u);
+    EXPECT_TRUE(current->walks == scratch.value()->walks) << "step " << step;
+    for (const std::size_t n : {1, 64, 130, 512}) {
+      EXPECT_EQ(core::choose_block_tile(current->plan, current->walks, n,
+                                        engine.config().cost_model)
+                    .index,
+                core::choose_block_tile(scratch.value()->plan,
+                                        scratch.value()->walks, n,
+                                        fresh.config().cost_model)
+                    .index)
+          << "step " << step << " n=" << n;
+    }
+  }
+}
+
 // ---- Generation / RCU semantics -------------------------------------------
 
 TEST(EngineUpdate, LatestFollowsTheLineageAndOldHandlesKeepServing) {

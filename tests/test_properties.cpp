@@ -97,7 +97,7 @@ TEST_P(PipelineProperty, HybridMatchesReference) {
   const auto b = make_rhs(cfg);
   gpusim::CostModel cm;
   const auto run =
-      core::hybrid_run(core::hybrid_plan(a.values(), {}), a.values(), b, cm);
+      core::hybrid_run(core::hybrid_plan(a.values(), {}), b, cm);
   EXPECT_TRUE(allclose(*run.c, reference_gemm(a.values(), b), a.cols()));
 }
 

@@ -31,7 +31,7 @@ void expect_pipeline_correct(const DenseMatrix<fp16_t>& a,
   ASSERT_TRUE(run.c.has_value()) << label;
   EXPECT_TRUE(allclose(*run.c, ref, a.cols()))
       << label << " max diff " << max_abs_diff(*run.c, ref);
-  const auto hyb = hybrid_run(hybrid_plan(a, {}), a, b, cm);
+  const auto hyb = hybrid_run(hybrid_plan(a, {}), b, cm);
   EXPECT_TRUE(allclose(*hyb.c, ref, a.cols())) << label << " (hybrid)";
 }
 
