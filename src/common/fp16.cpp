@@ -13,12 +13,6 @@ std::uint32_t float_bits(float v) {
   return u;
 }
 
-float bits_float(std::uint32_t u) {
-  float v;
-  std::memcpy(&v, &u, sizeof(v));
-  return v;
-}
-
 }  // namespace
 
 std::uint16_t fp16_t::float_to_bits(float v) {
@@ -65,30 +59,6 @@ std::uint16_t fp16_t::float_to_bits(float v) {
     ++result;  // Carry propagates into the exponent correctly.
   }
   return static_cast<std::uint16_t>(sign | result);
-}
-
-float fp16_t::bits_to_float(std::uint16_t h) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1fu;
-  const std::uint32_t mant = h & 0x3ffu;
-
-  if (exp == 0) {
-    if (mant == 0) return bits_float(sign);  // +/- 0
-    // Subnormal: normalize by shifting the mantissa up.
-    std::uint32_t m = mant;
-    std::uint32_t e = 113;  // biased fp32 exponent for 2^-14 with shift below
-    while ((m & 0x400u) == 0) {
-      m <<= 1;
-      --e;
-    }
-    m &= 0x3ffu;
-    return bits_float(sign | (e << 23) | (m << 13));
-  }
-  if (exp == 0x1f) {
-    // Inf / NaN.
-    return bits_float(sign | 0x7f800000u | (mant << 13));
-  }
-  return bits_float(sign | ((exp + 112u) << 23) | (mant << 13));
 }
 
 std::ostream& operator<<(std::ostream& os, fp16_t v) {

@@ -6,6 +6,7 @@
 // round-to-nearest-even, the rounding mode the hardware uses.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 
@@ -43,7 +44,27 @@ class fp16_t {
   friend constexpr bool operator!=(fp16_t a, fp16_t b) { return !(a == b); }
 
   static std::uint16_t float_to_bits(float v);
-  static float bits_to_float(std::uint16_t bits);
+
+  /// Exact widening, inline: every staged RHS element and A tile value
+  /// takes it. Exponent and mantissa shift into float position; normals
+  /// rebias by 112, Inf/NaN by 224 (payload kept), subnormals renormalize
+  /// by the leading-zero count. Integer-only, so flush-to-zero modes and
+  /// the rest of the floating-point environment cannot change it.
+  static float bits_to_float(std::uint16_t bits) {
+    const std::uint32_t sign = (bits & 0x8000u) << 16;
+    std::uint32_t em = (bits & 0x7fffu) << 13;
+    const std::uint32_t exp = em & 0x0f800000u;
+    if (exp != 0) {
+      em += exp == 0x0f800000u ? 0x70000000u : 0x38000000u;
+    } else if (em != 0) {
+      // Subnormal: shift the leading one up to the implicit bit (1..10
+      // places) and lower the exponent from 2^-14 by as many.
+      const auto shift =
+          static_cast<std::uint32_t>(std::countl_zero(em) - 8);
+      em = ((em << shift) & 0x007fffffu) | ((113u - shift) << 23);
+    }
+    return std::bit_cast<float>(sign | em);
+  }
 
  private:
   std::uint16_t bits_ = 0;

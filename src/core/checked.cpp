@@ -10,14 +10,12 @@
 
 namespace jigsaw::core {
 
-namespace {
-
-/// §4.3 failure of one panel: tail splitting was needed, or the layout
-/// grew past the (16-aligned) original K.
 bool panel_failed(const PanelReorder& panel, std::size_t cols) {
   const auto limit = static_cast<std::uint32_t>(round_up(cols, kMmaTile));
   return panel.used_split_fallback || panel.padded_cols() > limit;
 }
+
+namespace {
 
 /// Nonzeros of `col` within one panel's row range.
 std::uint32_t panel_column_nnz(const DenseMatrix<fp16_t>& a,

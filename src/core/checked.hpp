@@ -62,6 +62,11 @@ struct CheckedRunOptions {
   EngineOptions to_engine_options() const;
 };
 
+/// §4.3 failure of one panel: tail splitting was needed, or the layout
+/// grew past the (16-aligned) original K. The checked tier degrades such
+/// panels onto the hybrid pipes.
+bool panel_failed(const PanelReorder& panel, std::size_t cols);
+
 /// Reconstructs the shim from the canonical layered options.
 CheckedRunOptions checked_options_from(const EngineOptions& options);
 

@@ -52,7 +52,7 @@ std::size_t HybridPlan::total_cuda_columns() const {
 }
 
 std::size_t HybridPlan::pipe_bytes() const {
-  std::size_t bytes = pipe_rows.size() * sizeof(std::uint32_t);
+  std::size_t bytes = 0;
   for (const PanelRouting& r : routing) {
     bytes += (r.dense_columns.size() + r.cuda_columns.size() +
               r.cuda_offsets.size()) *
@@ -98,16 +98,6 @@ void gather_fallback_columns(const DenseMatrix<fp16_t>& a, HybridPlan& plan) {
       r.cuda_offsets.push_back(static_cast<std::uint32_t>(r.cuda_rows.size()));
     }
   });
-
-  std::vector<bool> read(a.cols(), false);
-  for (const PanelRouting& r : plan.routing) {
-    for (const std::uint32_t c : r.dense_columns) read[c] = true;
-    for (const std::uint32_t c : r.cuda_columns) read[c] = true;
-  }
-  plan.pipe_rows.clear();
-  for (std::size_t c = 0; c < read.size(); ++c) {
-    if (read[c]) plan.pipe_rows.push_back(static_cast<std::uint32_t>(c));
-  }
 }
 
 HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
@@ -239,24 +229,21 @@ void hybrid_compute_into(const HybridPlan& plan, const DenseMatrix<fp16_t>& b,
                          DenseMatrix<float>& c) {
   JIGSAW_TRACE_SCOPE("hybrid", "hybrid.run");
   obs::add("hybrid.runs");
-  // SpTC subset first; it also checks every shape.
-  jigsaw_compute_into(plan.format, b, c);
+  JIGSAW_CHECK_MSG(b.rows() == plan.format.cols() && c.cols() == b.cols(),
+                   "SpMM shape mismatch: A cols " << plan.format.cols()
+                       << ", B " << b.rows() << "x" << b.cols() << ", C cols "
+                       << c.cols());
   const std::size_t m = c.rows(), n = b.cols();
   const std::size_t bt =
       static_cast<std::size_t>(plan.options.tile.block_tile_m);
   constexpr std::size_t kTile = kMmaTile * kMmaTile;
 
-  // Float copy of the B rows the pipes read, at their own row offsets
-  // (rows no pipe reads are left unwritten and never touched).
+  // B staged as float once: the SpTC subset and both pipes read it.
   ArenaScope scratch(thread_scratch_arena());
-  float* bf = scratch.alloc<float>(b.rows() * n);
-  parallel_for(static_cast<std::int64_t>(plan.pipe_rows.size()),
-               [&](std::int64_t i) {
-    const std::size_t row = plan.pipe_rows[static_cast<std::size_t>(i)];
-    const fp16_t* src = b.data() + row * n;
-    float* dst = bf + row * n;
-    for (std::size_t j = 0; j < n; ++j) dst[j] = static_cast<float>(src[j]);
-  });
+  float* bf = scratch.alloc<float>((b.rows() + 1) * n);
+  stage_rhs(b, bf);
+  // SpTC subset first (it checks the output rows).
+  jigsaw_compute_staged(plan.format, bf, c);
 
   // One task per 16-row slice: slices write disjoint rows of C, so the
   // order of the terms each output element receives stays the serial one.

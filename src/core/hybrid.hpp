@@ -74,9 +74,6 @@ struct HybridPlan {
   JigsawFormat format;            ///< SpTC subset, standard Jigsaw format
   ReorderResult reorder;          ///< for stats
   std::vector<PanelRouting> routing;  ///< one per panel
-  /// Ascending distinct A columns (= B rows) the dense and CUDA pipes
-  /// read; hybrid_compute stages only these B rows.
-  std::vector<std::uint32_t> pipe_rows;
 
   std::size_t total_dense_columns() const;
   std::size_t total_cuda_columns() const;
@@ -88,9 +85,9 @@ struct HybridPlan {
 HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
                        const HybridOptions& options = {});
 
-/// Fills the gathered-column fields of every panel's routing (and
-/// plan.pipe_rows) from `a`, once the routing lists are final. hybrid_plan
-/// calls it; so does the checked tier's degraded compile.
+/// Fills the gathered-column fields of every panel's routing from `a`,
+/// once the routing lists are final. hybrid_plan calls it; so does the
+/// checked tier's degraded compile.
 void gather_fallback_columns(const DenseMatrix<fp16_t>& a, HybridPlan& plan);
 
 /// Simulated report of the fused hybrid kernel at an n-column RHS: the
@@ -100,9 +97,10 @@ gpusim::KernelReport hybrid_cost(const HybridPlan& plan, std::size_t n,
                                  const JigsawTuning& tuning = {});
 
 /// Functional hybrid product into a caller-sized rows x b.cols() output:
-/// SpTC tiles through jigsaw_compute_into, dense tiles through the
-/// m16n8k16 accumulation, CUDA-routed nonzeros through scalar FMAs, all
-/// read from the gathered columns. Per output element the sum order is
+/// B is staged as float once (stage_rhs) and read by all three pipes —
+/// SpTC tiles through jigsaw_compute_staged, dense tiles through the
+/// m16n8k16 accumulation, CUDA-routed nonzeros through scalar FMAs, the
+/// last two from the gathered columns. Per output element the sum order is
 /// the SpTC product, then each dense tile's k-sum in tile order, then the
 /// CUDA columns in order. Scratch comes from the thread's arena.
 void hybrid_compute_into(const HybridPlan& plan, const DenseMatrix<fp16_t>& b,

@@ -129,18 +129,26 @@ constexpr std::size_t kMaxPanelCols = 256;
 
 }  // namespace
 
-void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
-                         DenseMatrix<float>& c, const Epilogue& epilogue,
-                         std::size_t panel_cols) {
-  JIGSAW_TRACE_SCOPE("kernel", "kernel.compute");
-  JIGSAW_CHECK_MSG(f.cols() == b.rows(), "SpMM shape mismatch: A cols "
-                                             << f.cols() << " vs B rows "
-                                             << b.rows());
-  JIGSAW_CHECK_MSG(c.rows() == f.rows() && c.cols() == b.cols(),
-                   "output shape mismatch: got " << c.rows() << "x" << c.cols()
-                                                 << ", want " << f.rows()
-                                                 << "x" << b.cols());
-  const std::size_t m = f.rows(), n = b.cols(), k = f.cols();
+void stage_rhs(const DenseMatrix<fp16_t>& b, float* out) {
+  // Every binary16 is exactly representable, so per-element conversion
+  // order cannot matter; converting once replaces the per-(r, c, j)
+  // half->float conversions that dominated the scalar kernel. The zero
+  // row is bit-identical to converting an fp16 zero on the fly.
+  const std::size_t k = b.rows(), n = b.cols();
+  parallel_for(static_cast<std::int64_t>(k), [&](std::int64_t r) {
+    const fp16_t* src = b.data() + static_cast<std::size_t>(r) * n;
+    float* dst = out + static_cast<std::size_t>(r) * n;
+    for (std::size_t j = 0; j < n; ++j) dst[j] = static_cast<float>(src[j]);
+  });
+  std::fill(out + k * n, out + (k + 1) * n, 0.0f);
+}
+
+namespace {
+
+void compute_staged(const JigsawFormat& f, const float* bf,
+                    DenseMatrix<float>& c, const Epilogue& epilogue,
+                    std::size_t panel_cols) {
+  const std::size_t m = f.rows(), n = c.cols(), k = f.cols();
   const int bt = f.tile_config().block_tile_m;
   const int slices = f.row_slices_per_panel();
   const std::size_t num_panels = f.panels().size();
@@ -150,22 +158,7 @@ void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
 
   // Per-call scratch from the calling thread's arena: released (capacity
   // kept) on scope exit, so a warmed-up serving thread allocates nothing.
-  Arena& arena = thread_scratch_arena();
-  ArenaScope scratch(arena);
-
-  // Stage the whole RHS as float once (every binary16 is exactly
-  // representable, so per-element conversion order cannot matter). Row k
-  // is kept all +0.0f: virtual padding columns gather from it, which is
-  // bit-identical to converting an fp16 zero on the fly. This replaces
-  // the per-(r, c, j) out-of-line half->float conversions that dominated
-  // the scalar kernel.
-  float* bf = scratch.alloc<float>((k + 1) * n);
-  parallel_for(static_cast<std::int64_t>(k), [&](std::int64_t r) {
-    const fp16_t* src = b.data() + static_cast<std::size_t>(r) * n;
-    float* dst = bf + static_cast<std::size_t>(r) * n;
-    for (std::size_t j = 0; j < n; ++j) dst[j] = static_cast<float>(src[j]);
-  });
-  std::fill(bf + k * n, bf + (k + 1) * n, 0.0f);
+  ArenaScope scratch(thread_scratch_arena());
 
   // Per-panel flat-array bases, precomputed in one O(panels) sweep so the
   // hot loop uses the O(1) format accessors.
@@ -283,6 +276,35 @@ void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
       }
     }
   });
+}
+
+}  // namespace
+
+void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
+                         DenseMatrix<float>& c, const Epilogue& epilogue,
+                         std::size_t panel_cols) {
+  JIGSAW_TRACE_SCOPE("kernel", "kernel.compute");
+  JIGSAW_CHECK_MSG(f.cols() == b.rows(), "SpMM shape mismatch: A cols "
+                                             << f.cols() << " vs B rows "
+                                             << b.rows());
+  JIGSAW_CHECK_MSG(c.rows() == f.rows() && c.cols() == b.cols(),
+                   "output shape mismatch: got " << c.rows() << "x" << c.cols()
+                                                 << ", want " << f.rows()
+                                                 << "x" << b.cols());
+  ArenaScope scratch(thread_scratch_arena());
+  float* bf = scratch.alloc<float>((b.rows() + 1) * b.cols());
+  stage_rhs(b, bf);
+  compute_staged(f, bf, c, epilogue, panel_cols);
+}
+
+void jigsaw_compute_staged(const JigsawFormat& f, const float* staged_b,
+                           DenseMatrix<float>& c, const Epilogue& epilogue,
+                           std::size_t panel_cols) {
+  JIGSAW_TRACE_SCOPE("kernel", "kernel.compute");
+  JIGSAW_CHECK_MSG(c.rows() == f.rows(), "output shape mismatch: got "
+                                             << c.rows() << " rows, want "
+                                             << f.rows());
+  compute_staged(f, staged_b, c, epilogue, panel_cols);
 }
 
 DenseMatrix<float> jigsaw_compute(const JigsawFormat& f,

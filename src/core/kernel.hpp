@@ -100,6 +100,20 @@ void jigsaw_compute_into(const JigsawFormat& format,
                          const Epilogue& epilogue = {},
                          std::size_t panel_cols = 0);
 
+/// The float RHS jigsaw_compute_into reads: `b` converted once into
+/// `out`, row-major, followed by one all-zero row (index b.rows()) that
+/// virtual padding columns gather from — (b.rows() + 1) * b.cols() floats.
+/// Callers with more readers of the same RHS (the hybrid pipes) stage once
+/// and share it.
+void stage_rhs(const DenseMatrix<fp16_t>& b, float* out);
+
+/// jigsaw_compute_into against an RHS already staged by stage_rhs from a
+/// format.cols() x c.cols() matrix. Bit-identical to jigsaw_compute_into.
+void jigsaw_compute_staged(const JigsawFormat& format, const float* staged_b,
+                           DenseMatrix<float>& c,
+                           const Epilogue& epilogue = {},
+                           std::size_t panel_cols = 0);
+
 /// The n-independent half of the cost walk: per-panel structural counts
 /// (instructions, transactions, replayed bank conflicts, bytes per 64-wide
 /// n-block) of one format at one kernel version and tuning. It depends on

@@ -1,7 +1,9 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <string>
 #include <utility>
@@ -34,13 +36,6 @@ void fnv_mix_double(std::uint64_t& h, double v) {
   fnv_mix(h, bits);
 }
 
-/// True when this artifact executes on the hybrid dense-TC / CUDA-core
-/// pipes (always under kHybrid; under kChecked only after degradation).
-bool hybrid_route(const CompiledMatrix& handle) {
-  return handle.hybrid.has_value() &&
-         (handle.policy == ExecutionPolicy::kHybrid || handle.degraded);
-}
-
 void apply_epilogue(DenseMatrix<float>& c, const core::Epilogue& epilogue) {
   if (!epilogue.active()) return;
   for (std::size_t r = 0; r < c.rows(); ++r) {
@@ -50,42 +45,19 @@ void apply_epilogue(DenseMatrix<float>& c, const core::Epilogue& epilogue) {
   }
 }
 
-std::size_t footprint_of(const core::JigsawFormat& f) {
-  return f.memory_footprint().total();
-}
-
-/// BLOCK_TILE row panels containing at least one dirty row — the panels
-/// Engine::update re-plans; every other panel's plan and format segments
-/// are reused verbatim.
+/// Ascending BLOCK_TILE row panels holding at least one dirty row.
+/// Engine::update re-plans and re-walks those of the mask-dirty rows and
+/// rebuilds the format segments of those of the value-dirty rows.
 std::vector<std::size_t> dirty_panels_of(const std::vector<bool>& row_dirty,
                                          int block_tile) {
   const auto bt = static_cast<std::size_t>(block_tile);
-  const std::size_t rows = row_dirty.size();
-  const std::size_t num_panels = (rows + bt - 1) / bt;
   std::vector<std::size_t> dirty;
-  for (std::size_t p = 0; p < num_panels; ++p) {
-    const std::size_t row_end = std::min((p + 1) * bt, rows);
-    for (std::size_t r = p * bt; r < row_end; ++r) {
-      if (row_dirty[r]) {
-        dirty.push_back(p);
-        break;
-      }
+  for (std::size_t r = 0; r < row_dirty.size(); ++r) {
+    if (row_dirty[r] && (dirty.empty() || dirty.back() != r / bt)) {
+      dirty.push_back(r / bt);
     }
   }
   return dirty;
-}
-
-/// checked_compile's per-panel failure predicate: a panel that needed tail
-/// splitting or grew past the 16-aligned K degrades onto the hybrid pipes
-/// — a shape the panel splice cannot represent, so update falls back to a
-/// full recompile when any panel fails after the delta.
-bool would_degrade(const core::ReorderResult& reorder, std::size_t cols) {
-  const auto limit =
-      static_cast<std::uint32_t>(core::round_up(cols, core::kMmaTile));
-  for (const core::PanelReorder& p : reorder.panels) {
-    if (p.used_split_fallback || p.padded_cols() > limit) return true;
-  }
-  return false;
 }
 
 /// compile_artifact's kRaw candidate selection, shared with the update
@@ -105,20 +77,43 @@ std::pair<bool, std::size_t> choose_raw_candidate(const core::JigsawPlan& plan,
   return {any_success, chosen};
 }
 
+/// splitmix64's finalizer: a bijective 64-bit mix.
+std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Row r's term of matrix_content_hash: four independent multiply-rotate
+/// lanes over the row's 64-bit words (four fp16 elements each, the last
+/// one zero-padded), folded together with the row index.
+std::uint64_t row_hash(const DenseMatrix<fp16_t>& a, std::size_t r) {
+  const auto* bytes =
+      reinterpret_cast<const unsigned char*>(a.data() + r * a.cols());
+  const std::size_t n = a.cols() * sizeof(fp16_t);
+  std::uint64_t lane[4] = {1, 2, 3, 4};
+  const auto step = [&](std::size_t l, std::size_t i, std::size_t len) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, bytes + i, len);
+    lane[l] = std::rotl((lane[l] ^ w) * 0x9e3779b97f4a7c15ull, 29);
+  };
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (std::size_t l = 0; l < 4; ++l) step(l, i + 8 * l, 8);
+  }
+  for (std::size_t l = 0; i < n; i += 8, ++l) {
+    step(l, i, std::min<std::size_t>(8, n - i));
+  }
+  std::uint64_t h = mix64(r + 1);
+  for (const std::uint64_t l : lane) h = mix64(h ^ l);
+  return h;
+}
+
 }  // namespace
 
 std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, a.rows());
-  fnv_mix(h, a.cols());
-  const fp16_t* data = a.data();
-  const std::size_t n = a.rows() * a.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i].bits() & 0xffu;
-    h *= kFnvPrime;
-    h ^= (data[i].bits() >> 8) & 0xffu;
-    h *= kFnvPrime;
-  }
+  std::uint64_t h = mix64(mix64(kFnvOffset ^ a.rows()) ^ a.cols());
+  for (std::size_t r = 0; r < a.rows(); ++r) h += row_hash(a, r);
   return h;
 }
 
@@ -173,16 +168,15 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::compile(
   const ExecutionPolicy policy = options.policy == ExecutionPolicy::kAuto
                                      ? ExecutionPolicy::kChecked
                                      : options.policy;
-  const bool cacheable = !options.compile.reorder.column_filter;
-  if (!cacheable) {
+  const CacheKey key{matrix_content_hash(a),
+                     options_content_hash(options, policy)};
+  if (options.compile.reorder.column_filter) {
     obs::add("engine.cache.bypass");
-    auto artifact = compile_artifact(a, options, policy, CacheKey{});
+    auto artifact = compile_artifact(a, options, policy, key);
     if (!artifact.ok()) return artifact.status();
     return std::shared_ptr<const CompiledMatrix>(artifact.value());
   }
 
-  const CacheKey key{matrix_content_hash(a),
-                     options_content_hash(options, policy)};
   if (auto hit = cache_.find(key)) {
     obs::add("engine.cache.hits");
     return hit;
@@ -214,7 +208,6 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
   // Route selection happens here, once: the artifact records it and
   // execute() just follows. Exceptions from the trusted tier (contract
   // bugs) are converted to kInternal at this boundary.
-  const core::ReorderResult* primary = nullptr;
   try {
     switch (policy) {
       case ExecutionPolicy::kAuto:  // resolved by compile(); unreachable
@@ -227,11 +220,15 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
         cm->degradation = std::move(art.degradation);
         if (art.degraded) {
           cm->hybrid = std::move(art.hybrid);
-          primary = &cm->hybrid->reorder;
         } else {
+          const core::MetadataLayout layout = options.compile.metadata_layout;
           cm->plan.version = options.compile.version;
+          // checked_compile built its format in the default layout.
+          cm->plan.formats.push_back(
+              art.format.metadata_layout() == layout
+                  ? std::move(art.format)
+                  : core::JigsawFormat::build(a, art.reorder, layout));
           cm->plan.reorders.push_back(std::move(art.reorder));
-          primary = &cm->plan.reorders.back();
         }
         break;
       }
@@ -242,7 +239,6 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
         hopts.cuda_route_max_nnz = options.compile.cuda_route_max_nnz;
         hopts.reorder = options.compile.reorder;
         cm->hybrid = core::hybrid_plan(a, hopts);
-        primary = &cm->hybrid->reorder;
         break;
       }
       case ExecutionPolicy::kRaw: {
@@ -256,7 +252,7 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
               "(§4.3); recompile with ExecutionPolicy::kChecked to degrade "
               "instead");
         }
-        primary = &cm->plan.reorders[chosen];
+        cm->primary = chosen;
         // The n-independent half of V4's BLOCK_TILE tuning, once; execute
         // folds these per request.
         for (const core::JigsawFormat& f : cm->plan.formats) {
@@ -266,20 +262,17 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
         break;
       }
     }
-
-    JIGSAW_CHECK_MSG(primary != nullptr, "no primary reorder selected");
-    cm->plan_fingerprint = core::plan_fingerprint(*primary);
-    cm->naive_format =
-        core::JigsawFormat::build(a, *primary, core::MetadataLayout::kNaive);
-    cm->interleaved_format = core::JigsawFormat::build(
-        a, *primary, core::MetadataLayout::kInterleaved);
+    cm->plan_fingerprint = core::plan_fingerprint(
+        cm->hybrid_route() ? cm->hybrid->reorder
+                           : cm->plan.reorders[cm->primary]);
   } catch (const std::exception& e) {
     return Status(StatusCode::kInternal,
                   std::string("compile raised: ") + e.what());
   }
-  Status finalized = finalize_artifact(*cm, a);
+  Status finalized = finalize_artifact(*cm);
   if (!finalized.ok()) return finalized;
   if (cm->updatable) {
+    cm->lhs = a;
     // Fresh lineage cell with this generation-0 artifact as its head. A
     // racing compile of the same key converges on whichever artifact the
     // cache published first, lineage and all; the loser's cell is simply
@@ -294,59 +287,50 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
   return cm;
 }
 
-Status Engine::finalize_artifact(CompiledMatrix& cm,
-                                 const DenseMatrix<fp16_t>& a) const {
-  for (const core::JigsawFormat* f :
-       {&cm.naive_format, &cm.interleaved_format}) {
-    Status valid = f->validate();
-    if (!valid.ok()) {
-      return Status(StatusCode::kInternal,
-                    "freshly built format failed validation: " +
-                        valid.to_string());
-    }
+Status Engine::finalize_artifact(CompiledMatrix& cm) const {
+  Status valid = cm.format().validate();
+  if (!valid.ok()) {
+    return Status(StatusCode::kInternal,
+                  "freshly built format failed validation: " +
+                      valid.to_string());
   }
   cm.updatable = cm.options.updatable;
 
   // Resident size charged against the cache bound.
-  std::size_t bytes = footprint_of(cm.naive_format) +
-                      footprint_of(cm.interleaved_format);
+  std::size_t bytes = 0;
   for (const core::JigsawFormat& f : cm.plan.formats) {
-    bytes += footprint_of(f);
+    bytes += f.memory_footprint().total();
   }
   for (const core::CostWalk& w : cm.walks) bytes += w.bytes();
   if (cm.hybrid.has_value()) {
     // The SpTC subset plus the routed columns the pipes read, gathered
     // out of the operand at plan time.
-    bytes += footprint_of(cm.hybrid->format) + cm.hybrid->pipe_bytes();
+    bytes += cm.hybrid->format.memory_footprint().total() +
+             cm.hybrid->pipe_bytes();
   }
   if (cm.updatable) {
     // Engine::update applies deltas against the operand, so it stays
     // resident with the artifact and is charged to the cache.
-    cm.lhs = a;
-    bytes += a.rows() * a.cols() * sizeof(fp16_t);
+    bytes += cm.rows * cm.cols * sizeof(fp16_t);
   }
   cm.footprint_bytes = bytes;
   return Status::Ok();
 }
 
 Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
-    const CompiledMatrix& base, const DenseMatrix<fp16_t>& a2,
-    const std::vector<bool>& row_dirty) const {
+    const CompiledMatrix& base, DenseMatrix<fp16_t> a2,
+    std::uint64_t matrix_hash, const std::vector<bool>& value_dirty,
+    const std::vector<bool>& mask_dirty) const {
   EngineOptions options;
   options.policy = base.policy;
   options.compile = base.options;
-  const CacheKey key{matrix_content_hash(a2), base.options_hash};
+  const CacheKey key{matrix_hash, base.options_hash};
 
   // Degraded/hybrid bases route columns off the SpTC path per panel; that
   // routing is not representable by a panel splice, so their successor is
   // a full recompile — bit-identical to a fresh compile of the mutated
   // matrix and published just as atomically.
-  const bool incremental =
-      !base.plan.reorders.empty() &&
-      ((base.policy == ExecutionPolicy::kChecked && !base.degraded) ||
-       (base.policy == ExecutionPolicy::kRaw &&
-        base.plan.reorders.size() == base.plan.formats.size()));
-  if (!incremental) {
+  if (base.hybrid_route()) {
     // jigsaw-lint: allow(obs-name): named after the serving API surface
     // (engine.update), not an obs subsystem.
     obs::add("jigsaw.engine.update.full_recompiles");
@@ -360,23 +344,57 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
   cm->options = base.options;
   cm->rows = a2.rows();
   cm->cols = a2.cols();
+  cm->plan.version = base.options.version;
 
-  const core::ReorderResult* primary = nullptr;
+  const bool raw = base.policy == ExecutionPolicy::kRaw;
   std::size_t panels_replanned = 0;
   try {
-    if (base.policy == ExecutionPolicy::kChecked) {
-      // Replicate checked_compile's reorder options exactly: the recorded
-      // result tile IS the tile checked_options_from built, and per-panel
-      // seeds derive from (seed, panel index), so re-planning only the
-      // dirty panels is bit-identical to a from-scratch checked compile.
+    JIGSAW_CHECK(base.plan.formats.size() == base.plan.reorders.size() &&
+                 (!raw || base.walks.size() == base.plan.formats.size()));
+    // Splice every stored candidate (V4 kRaw carries three). The reorder
+    // options replicate the compile's exactly — the recorded tile IS the
+    // one compile used, kRaw adds the version's bank-conflict switch, and
+    // per-panel seeds derive from (seed, panel index) — so re-planning
+    // only the mask-dirty panels is bit-identical to a fresh compile.
+    const core::KernelFeatures feats =
+        core::KernelFeatures::for_version(base.options.version);
+    for (std::size_t i = 0; i < base.plan.reorders.size(); ++i) {
       core::ReorderOptions ropts = base.options.reorder;
-      ropts.tile = base.plan.reorders[0].tile;
-      core::ReorderResult reorder = base.plan.reorders[0];
-      const std::vector<std::size_t> dirty =
-          dirty_panels_of(row_dirty, reorder.tile.block_tile_m);
-      core::reorder_panels(a2, ropts, dirty, reorder);
-      panels_replanned += dirty.size();
-      if (would_degrade(reorder, a2.cols())) {
+      ropts.tile = base.plan.reorders[i].tile;
+      if (raw) ropts.search.bank_conflict_aware = feats.padded_smem;
+      const std::vector<std::size_t> replan =
+          dirty_panels_of(mask_dirty, ropts.tile.block_tile_m);
+      core::ReorderResult reorder = base.plan.reorders[i];
+      core::reorder_panels(a2, ropts, replan, reorder);
+      panels_replanned += replan.size();
+      cm->plan.formats.push_back(base.plan.formats[i].rebuild_panels(
+          a2, reorder,
+          dirty_panels_of(value_dirty, ropts.tile.block_tile_m)));
+      if (raw) {
+        cm->walks.push_back(core::cost_walk_panels(
+            base.walks[i], cm->plan.formats.back(), replan,
+            config_.cost_model.arch()));
+      }
+      cm->plan.reorders.push_back(std::move(reorder));
+    }
+
+    if (raw) {
+      const auto [any_success, chosen] =
+          choose_raw_candidate(cm->plan, base.options.block_tile);
+      if (!any_success) {
+        return Status(
+            StatusCode::kReorderFailed,
+            "update: no BLOCK_TILE candidate reordered successfully after "
+            "the delta (§4.3); the previous generation keeps serving — "
+            "compile with ExecutionPolicy::kChecked to degrade instead");
+      }
+      cm->primary = chosen;
+    } else {
+      const core::ReorderResult& reorder = cm->plan.reorders[0];
+      if (std::any_of(reorder.panels.begin(), reorder.panels.end(),
+                      [&](const core::PanelReorder& p) {
+                        return core::panel_failed(p, a2.cols());
+                      })) {
         // The delta pushed a panel off the SpTC path; the checked tier
         // would degrade it onto the hybrid pipes, which the splice cannot
         // represent — recompile from scratch instead.
@@ -387,80 +405,22 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
       }
       cm->degradation.panels_total = reorder.panels.size();
       cm->degradation.reorder_evictions = reorder.total_evictions();
-      cm->plan.version = base.options.version;
-      cm->plan.reorders.push_back(std::move(reorder));
-      primary = &cm->plan.reorders.back();
-      cm->naive_format = base.naive_format.rebuild_panels(a2, *primary, dirty);
-      cm->interleaved_format =
-          base.interleaved_format.rebuild_panels(a2, *primary, dirty);
-    } else {
-      // kRaw: splice every BLOCK_TILE candidate (V4 carries three) and
-      // re-walk its dirty panels, then re-run the candidate selection
-      // against the updated plans.
-      const core::KernelFeatures feats =
-          core::KernelFeatures::for_version(base.options.version);
-      cm->plan.version = base.options.version;
-      JIGSAW_CHECK_MSG(base.walks.size() == base.plan.formats.size(),
-                       "kRaw artifact without one cost walk per candidate");
-      std::vector<std::vector<std::size_t>> dirties;
-      dirties.reserve(base.plan.reorders.size());
-      for (std::size_t i = 0; i < base.plan.reorders.size(); ++i) {
-        core::ReorderOptions ropts = base.options.reorder;
-        ropts.tile = base.plan.reorders[i].tile;
-        ropts.search.bank_conflict_aware = feats.padded_smem;
-        core::ReorderResult reorder = base.plan.reorders[i];
-        std::vector<std::size_t> dirty =
-            dirty_panels_of(row_dirty, reorder.tile.block_tile_m);
-        core::reorder_panels(a2, ropts, dirty, reorder);
-        panels_replanned += dirty.size();
-        cm->plan.formats.push_back(
-            base.plan.formats[i].rebuild_panels(a2, reorder, dirty));
-        cm->walks.push_back(core::cost_walk_panels(
-            base.walks[i], cm->plan.formats.back(), dirty,
-            config_.cost_model.arch()));
-        cm->plan.reorders.push_back(std::move(reorder));
-        dirties.push_back(std::move(dirty));
-      }
-      const auto [any_success, chosen] =
-          choose_raw_candidate(cm->plan, base.options.block_tile);
-      if (!any_success) {
-        return Status(
-            StatusCode::kReorderFailed,
-            "update: no BLOCK_TILE candidate reordered successfully after "
-            "the delta (§4.3); the previous generation keeps serving — "
-            "compile with ExecutionPolicy::kChecked to degrade instead");
-      }
-      primary = &cm->plan.reorders[chosen];
-      // The naive/interleaved pair describes the chosen candidate's
-      // layout; splice it from the base only when the base chose the same
-      // candidate, otherwise rebuild it outright.
-      const auto [base_any, base_chosen] =
-          choose_raw_candidate(base.plan, base.options.block_tile);
-      if (base_any && base_chosen == chosen) {
-        cm->naive_format =
-            base.naive_format.rebuild_panels(a2, *primary, dirties[chosen]);
-        cm->interleaved_format = base.interleaved_format.rebuild_panels(
-            a2, *primary, dirties[chosen]);
-      } else {
-        cm->naive_format = core::JigsawFormat::build(
-            a2, *primary, core::MetadataLayout::kNaive);
-        cm->interleaved_format = core::JigsawFormat::build(
-            a2, *primary, core::MetadataLayout::kInterleaved);
-      }
     }
-    JIGSAW_CHECK_MSG(primary != nullptr, "no primary reorder selected");
-    cm->plan_fingerprint = core::plan_fingerprint(*primary);
+    cm->plan_fingerprint =
+        core::plan_fingerprint(cm->plan.reorders[cm->primary]);
   } catch (const std::exception& e) {
     return Status(StatusCode::kInternal,
                   std::string("update raised: ") + e.what());
   }
-  Status finalized = finalize_artifact(*cm, a2);
+  Status finalized = finalize_artifact(*cm);
   if (!finalized.ok()) return finalized;
+  cm->lhs = std::move(a2);
   // jigsaw-lint: allow(obs-name): named after the serving API surface
   // (engine.update), not an obs subsystem.
   obs::add("jigsaw.engine.update.incremental");
   // jigsaw-lint: allow(obs-name): named after the serving API surface
-  // (engine.update), not an obs subsystem.
+  // (engine.update), not an obs subsystem. Counted on every incremental
+  // update, 0 included: only mask-dirty panels are re-planned.
   obs::add("jigsaw.engine.update.panels_replanned",
            static_cast<double>(panels_replanned));
   return cm;
@@ -499,13 +459,17 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::update(
     }
   }
 
+  // The one copy of the operand; the successor takes ownership of it.
   DenseMatrix<fp16_t> a2 = base->lhs;
-  std::vector<bool> row_dirty(base->rows, false);
+  std::vector<bool> value_dirty(base->rows, false);
+  std::vector<bool> mask_dirty(base->rows, false);
   bool changed = false;
   for (const SparseDelta::Entry& e : delta.entries) {
-    if (a2(e.row, e.col).bits() == e.value.bits()) continue;  // no-op entry
-    a2(e.row, e.col) = e.value;
-    row_dirty[e.row] = true;
+    fp16_t& v = a2(e.row, e.col);
+    if (v.bits() == e.value.bits()) continue;  // no-op entry
+    if (v.is_zero() != e.value.is_zero()) mask_dirty[e.row] = true;
+    v = e.value;
+    value_dirty[e.row] = true;
     changed = true;
   }
   if (!changed) {
@@ -514,8 +478,14 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::update(
     obs::add("jigsaw.engine.update.noops");
     return base;
   }
+  // matrix_content_hash is a sum of row terms: swap the dirty rows' terms.
+  std::uint64_t matrix_hash = base->matrix_hash;
+  for (std::size_t r = 0; r < base->rows; ++r) {
+    if (value_dirty[r]) matrix_hash += row_hash(a2, r) - row_hash(base->lhs, r);
+  }
 
-  auto rebuilt = update_artifact(*base, a2, row_dirty);
+  auto rebuilt = update_artifact(*base, std::move(a2), matrix_hash,
+                                 value_dirty, mask_dirty);
   if (!rebuilt.ok()) {
     // jigsaw-lint: allow(obs-name): named after the serving API surface
     // (engine.update), not an obs subsystem.
@@ -585,7 +555,7 @@ Result<DenseMatrix<float>> Engine::execute(
   try {
     // One path for every policy: pick the format, compute, run the
     // fallback pipes if the artifact has them, apply the epilogue.
-    const bool pipes = hybrid_route(handle);
+    const bool pipes = handle.hybrid_route();
     const core::JigsawFormat* format = &handle.format();
     if (handle.policy == ExecutionPolicy::kRaw) {
       // The BLOCK_TILE for this n: a fold of the compile-time walks.
@@ -643,7 +613,7 @@ std::future<Result<DenseMatrix<float>>> Engine::submit(
 
 gpusim::KernelReport Engine::cost(const CompiledMatrix& handle, std::size_t n,
                                   const EngineOptions::Run& run) const {
-  if (hybrid_route(handle)) {
+  if (handle.hybrid_route()) {
     return core::hybrid_cost(*handle.hybrid, n, config_.cost_model,
                              config_.tuning);
   }

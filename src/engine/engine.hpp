@@ -100,7 +100,9 @@ struct Lineage;
 /// needs, so one cached artifact serves raw, checked and hybrid requests
 /// for its (matrix, options) key. Shared read-only across worker threads.
 struct CompiledMatrix {
-  std::uint64_t matrix_hash = 0;   ///< FNV-1a of the operand content
+  /// matrix_content_hash of the operand: a sum of per-row terms, so
+  /// Engine::update re-hashes only the rows a delta touched.
+  std::uint64_t matrix_hash = 0;
   std::uint64_t options_hash = 0;  ///< hash of every plan-affecting option
   /// Identity of the reorder output (core::plan_fingerprint of the
   /// primary reorder) — comparable across processes and planner
@@ -111,19 +113,19 @@ struct CompiledMatrix {
   EngineOptions::Compile options;  ///< the compile section this was built with
   std::size_t rows = 0, cols = 0;
 
-  /// Trusted-path plan at options.version (V4 carries the BLOCK_TILE
-  /// candidates). Formats are version-independent, so any KernelVersion
-  /// can be costed against these — see Engine::cost.
+  /// Each format is stored once, where its route reads it. kRaw: the
+  /// trusted plan at options.version (V4 carries three BLOCK_TILE
+  /// candidates). Clean kChecked: one reorder, its format in
+  /// options.metadata_layout. The hybrid route: empty (see `hybrid`).
   core::JigsawPlan plan;
+  /// plan index of the primary reorder (kRaw: the candidate at the
+  /// preferred BLOCK_TILE, else the first that reordered).
+  std::size_t primary = 0;
   /// kRaw only: the n-independent cost walk of each plan.formats
   /// candidate, taken at compile time against EngineConfig's cost model
   /// and tuning. Execute folds them for the request's n and epilogue to
   /// pick the BLOCK_TILE (core::choose_block_tile) — no walk per request.
   std::vector<core::CostWalk> walks;
-  /// The primary reorder in both §3.4.3 metadata layouts;
-  /// options.metadata_layout selects which one execution reads.
-  core::JigsawFormat naive_format;
-  core::JigsawFormat interleaved_format;
   /// Set when the artifact routes any column off the SpTC path: always
   /// under kHybrid, under kChecked only when the reorder degraded.
   std::optional<core::HybridPlan> hybrid;
@@ -147,10 +149,16 @@ struct CompiledMatrix {
   /// generation of one compile holds the same cell.
   std::shared_ptr<Lineage> lineage;
 
+  /// True on the hybrid dense-TC / CUDA-core pipes (always under kHybrid,
+  /// under kChecked only after degradation).
+  bool hybrid_route() const {
+    return hybrid.has_value() &&
+           (policy == ExecutionPolicy::kHybrid || degraded);
+  }
+  /// The SpTC format at the compiled BLOCK_TILE (kRaw execute may pick
+  /// another candidate per request n).
   const core::JigsawFormat& format() const {
-    return options.metadata_layout == core::MetadataLayout::kNaive
-               ? naive_format
-               : interleaved_format;
+    return hybrid_route() ? hybrid->format : plan.formats[primary];
   }
 };
 
@@ -234,11 +242,14 @@ class Engine {
   gpusim::KernelReport cost(const CompiledMatrix& handle, std::size_t n,
                             const EngineOptions::Run& run = {}) const;
 
-  /// Applies a SparseDelta to an updatable artifact's source operand,
-  /// re-plans only the BLOCK_TILE row panels the delta touches (the
-  /// incremental panel path: core::reorder_panels +
-  /// JigsawFormat::rebuild_panels), and publishes the result as the next
-  /// generation through the artifact's Lineage: in-flight submits finish
+  /// Applies a SparseDelta to an updatable artifact's source operand and
+  /// rebuilds only the BLOCK_TILE row panels it touches. Reorder and cost
+  /// walks depend only on the nonzero pattern, so only panels where an
+  /// entry flipped between zero and nonzero (±0 is zero) are re-planned
+  /// (core::reorder_panels) and re-walked; the others only get their
+  /// format segments rebuilt (JigsawFormat::rebuild_panels). The result
+  /// is published as the next generation
+  /// through the artifact's Lineage: in-flight submits finish
   /// on the generation they started with, Engine::latest returns the new
   /// one. The delta is applied against the lineage's current head (not
   /// necessarily `handle`), so callers may keep updating through a stale
@@ -271,26 +282,29 @@ class Engine {
       const DenseMatrix<fp16_t>& a, const EngineOptions& options,
       ExecutionPolicy policy, const CacheKey& key) const;
 
-  /// Builds the successor artifact for `update`: incremental panel splice
-  /// when the base's plan permits, full recompile fallback otherwise.
+  /// Builds the successor artifact for `update` from the mutated operand
+  /// (moved in and retained) and its content hash: the incremental splice
+  /// off an SpTC-only base, a full recompile off a degraded/hybrid one.
   /// Generation/lineage stamping happens in update().
   [[nodiscard]] Result<std::shared_ptr<CompiledMatrix>> update_artifact(
-      const CompiledMatrix& base, const DenseMatrix<fp16_t>& a2,
-      const std::vector<bool>& row_dirty) const;
+      const CompiledMatrix& base, DenseMatrix<fp16_t> a2,
+      std::uint64_t matrix_hash, const std::vector<bool>& value_dirty,
+      const std::vector<bool>& mask_dirty) const;
 
-  /// Shared artifact tail: validates both layout formats, computes the
-  /// resident footprint (retaining the operand for updatable artifacts),
-  /// and stamps the updatable flag.
-  [[nodiscard]] Status finalize_artifact(CompiledMatrix& cm,
-                                         const DenseMatrix<fp16_t>& a) const;
+  /// Shared artifact tail: validates format(), computes the resident
+  /// footprint (updatable: with the operand the caller retains) and
+  /// stamps the updatable flag.
+  [[nodiscard]] Status finalize_artifact(CompiledMatrix& cm) const;
 
   EngineConfig config_;
   PlanCache cache_;
   ThreadPool pool_;
 };
 
-/// Content hash (FNV-1a over shape and element bits) — the cache's
-/// matrix identity. Exposed for tests.
+/// Content hash — the cache's matrix identity: a shape hash plus the sum
+/// (mod 2^64) of one term per row, which mixes the row index with a
+/// word-at-a-time hash of the row's bits. Engine::update swaps the terms
+/// of the rows it changed instead of re-hashing. Exposed for tests.
 std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a);
 
 /// Hash of every option that changes the compiled artifact (policy plus

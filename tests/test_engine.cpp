@@ -578,9 +578,9 @@ TEST(EngineExecutePath, HybridArtifactsKeepGatheredColumnsNotTheOperand) {
       ASSERT_TRUE(cm.hybrid.has_value());
       EXPECT_GT(cm.hybrid->pipe_bytes(), 0u);
       const std::size_t operand = a.rows() * a.cols() * sizeof(fp16_t);
+      // One stored format: the hybrid route keeps only its SpTC subset.
+      EXPECT_TRUE(cm.plan.formats.empty());
       const std::size_t expected =
-          cm.naive_format.memory_footprint().total() +
-          cm.interleaved_format.memory_footprint().total() +
           cm.hybrid->format.memory_footprint().total() +
           cm.hybrid->pipe_bytes() + (updatable ? operand : 0);
       EXPECT_EQ(cm.footprint_bytes, expected);

@@ -251,6 +251,200 @@ TEST(EngineUpdateDifferential, RawWalksAndSelectionMatchAFreshCompile) {
   }
 }
 
+// ---- Delta kinds: symbolic vs numeric work --------------------------------
+
+enum class DeltaKind { kValueOnly, kZeroing, kFillIn, kZeroSignFlip };
+
+const char* to_string(DeltaKind k) {
+  switch (k) {
+    case DeltaKind::kValueOnly: return "value-only";
+    case DeltaKind::kZeroing: return "zeroing";
+    case DeltaKind::kFillIn: return "fill-in";
+    case DeltaKind::kZeroSignFlip: return "zero-sign-flip";
+  }
+  return "?";
+}
+
+/// A delta of one kind, applied to `mirror` too. Value-only negates
+/// nonzeros (a nonzero stays nonzero, its bits change); zeroing writes 0
+/// over nonzeros; fill-in writes 1 over zeros; the sign flip toggles the
+/// sign bit of the zeros in a fixed set of rows, so applying it twice
+/// goes +0 -> -0 -> +0. Only zeroing and fill-in change the mask.
+SparseDelta kind_delta(DeltaKind kind, Rng& rng, DenseMatrix<fp16_t>& mirror,
+                       std::size_t entries) {
+  SparseDelta delta;
+  auto put = [&](std::size_t r, std::size_t c, fp16_t v) {
+    delta.entries.push_back(
+        {static_cast<std::uint32_t>(r), static_cast<std::uint32_t>(c), v});
+    mirror(r, c) = v;
+  };
+  if (kind == DeltaKind::kZeroSignFlip) {
+    for (const std::size_t r : {5u, 40u, 77u}) {
+      std::size_t flipped = 0;
+      for (std::size_t c = 0; c < mirror.cols() && flipped < entries / 3;
+           ++c) {
+        if (!mirror(r, c).is_zero()) continue;
+        put(r, c, fp16_t::from_bits(mirror(r, c).bits() ^ 0x8000u));
+        ++flipped;
+      }
+    }
+    return delta;
+  }
+  const bool want_nonzero = kind != DeltaKind::kFillIn;
+  while (delta.size() < entries) {
+    const auto r = rng.next_below(mirror.rows());
+    const auto c = rng.next_below(mirror.cols());
+    const fp16_t old = mirror(r, c);
+    if (old.is_zero() == want_nonzero) continue;
+    if (kind == DeltaKind::kValueOnly) {
+      put(r, c, fp16_t::from_bits(old.bits() ^ 0x8000u));
+    } else {
+      put(r, c, fp16_t(kind == DeltaKind::kZeroing ? 0.0f : 1.0f));
+    }
+  }
+  return delta;
+}
+
+std::vector<std::uint16_t> bits_of(const std::vector<fp16_t>& values) {
+  std::vector<std::uint16_t> bits;
+  bits.reserve(values.size());
+  for (const fp16_t v : values) bits.push_back(v.bits());
+  return bits;
+}
+
+/// Everything a fresh compile determines, compared bit for bit (fp16
+/// values by their bits, so a -0/+0 mismatch fails).
+void expect_same_artifact(const Engine& engine, const CompiledMatrix& updated,
+                          const CompiledMatrix& fresh) {
+  EXPECT_EQ(updated.matrix_hash, fresh.matrix_hash);
+  EXPECT_EQ(updated.plan_fingerprint, fresh.plan_fingerprint);
+  EXPECT_EQ(updated.degraded, fresh.degraded);
+  EXPECT_EQ(updated.primary, fresh.primary);
+  EXPECT_EQ(updated.footprint_bytes, fresh.footprint_bytes);
+  ASSERT_EQ(updated.plan.formats.size(), fresh.plan.formats.size());
+  for (std::size_t i = 0; i < fresh.plan.formats.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "candidate " << i);
+    const core::JigsawFormat& x = updated.plan.formats[i];
+    const core::JigsawFormat& y = fresh.plan.formats[i];
+    EXPECT_EQ(x.metadata_layout(), y.metadata_layout());
+    EXPECT_EQ(bits_of(x.values()), bits_of(y.values()));
+    EXPECT_EQ(x.metadata(), y.metadata());
+    EXPECT_EQ(x.col_idx_array(), y.col_idx_array());
+    EXPECT_EQ(x.block_col_idx_array(), y.block_col_idx_array());
+  }
+  EXPECT_TRUE(updated.walks == fresh.walks);
+  if (!fresh.walks.empty()) {
+    for (const std::size_t n : {1, 64, 130, 512}) {
+      EXPECT_EQ(core::choose_block_tile(updated.plan, updated.walks, n,
+                                        engine.config().cost_model)
+                    .index,
+                core::choose_block_tile(fresh.plan, fresh.walks, n,
+                                        engine.config().cost_model)
+                    .index)
+          << "n=" << n;
+    }
+  }
+}
+
+TEST(EngineUpdateDeltaKinds, EveryKindMatchesAFreshCompileAndReplansOnlyMasks) {
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  struct Case {
+    ExecutionPolicy policy;
+    core::KernelVersion version;
+    core::MetadataLayout layout;
+  };
+  const std::vector<Case> cases = {
+      {ExecutionPolicy::kChecked, core::KernelVersion::kV4,
+       core::MetadataLayout::kInterleaved},
+      {ExecutionPolicy::kChecked, core::KernelVersion::kV4,
+       core::MetadataLayout::kNaive},
+      {ExecutionPolicy::kRaw, core::KernelVersion::kV4,
+       core::MetadataLayout::kInterleaved},
+      {ExecutionPolicy::kRaw, core::KernelVersion::kV1,
+       core::MetadataLayout::kNaive},
+  };
+  for (const Case& cs : cases) {
+    for (const DeltaKind kind :
+         {DeltaKind::kValueOnly, DeltaKind::kZeroing, DeltaKind::kFillIn,
+          DeltaKind::kZeroSignFlip}) {
+      SCOPED_TRACE(::testing::Message()
+                   << core::to_string(cs.policy) << " v"
+                   << static_cast<int>(cs.version) << " layout "
+                   << static_cast<int>(cs.layout) << " " << to_string(kind));
+      EngineOptions options;
+      options.policy = cs.policy;
+      options.compile.version = cs.version;
+      options.compile.metadata_layout = cs.layout;
+      options.compile.updatable = true;
+      DenseMatrix<fp16_t> mirror =
+          dlmc::make_lhs({96, 128}, 0.85, 4, 7601).values();
+      Engine engine;
+      auto compiled = engine.compile(mirror, options);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+      auto current = compiled.value();
+      Rng rng(mix_seed(7602, static_cast<std::uint64_t>(kind)));
+      const auto b = dlmc::make_rhs(mirror.cols(), 24, 7603);
+      for (std::size_t step = 1; step <= 2; ++step) {
+        SCOPED_TRACE(::testing::Message() << "step " << step);
+        const SparseDelta delta = kind_delta(kind, rng, mirror, 12);
+        ASSERT_FALSE(delta.entries.empty());
+        // jigsaw-lint: allow(obs-name): engine.cpp names these after the serving API surface.
+        obs::Counter& replanned = obs::counter("jigsaw.engine.update.panels_replanned");
+        // jigsaw-lint: allow(obs-name): engine.cpp names these after the serving API surface.
+        obs::Counter& incremental = obs::counter("jigsaw.engine.update.incremental");
+        const double replanned_before = replanned.value();
+        const double incremental_before = incremental.value();
+        auto updated = engine.update(current, delta);
+        ASSERT_TRUE(updated.ok()) << updated.status().to_string();
+        current = updated.value();
+        EXPECT_EQ(incremental.value(), incremental_before + 1);
+        const bool mask_changes =
+            kind == DeltaKind::kZeroing || kind == DeltaKind::kFillIn;
+        if (mask_changes) {
+          EXPECT_GT(replanned.value(), replanned_before);
+        } else {
+          EXPECT_EQ(replanned.value(), replanned_before);
+        }
+
+        // The incrementally adjusted hash is the content hash, so a
+        // compile of the mutated operand hits the updated entry.
+        EXPECT_EQ(current->matrix_hash, matrix_content_hash(mirror));
+        auto recompiled = engine.compile(mirror, options);
+        ASSERT_TRUE(recompiled.ok());
+        EXPECT_EQ(recompiled.value().get(), current.get());
+
+        Engine fresh;
+        auto scratch = fresh.compile(mirror, options);
+        ASSERT_TRUE(scratch.ok()) << scratch.status().to_string();
+        expect_same_artifact(engine, *current, *scratch.value());
+        auto via_update = engine.execute(*current, b);
+        auto via_scratch = fresh.execute(*scratch.value(), b);
+        ASSERT_TRUE(via_update.ok() && via_scratch.ok());
+        EXPECT_TRUE(bit_identical(via_update.value(), via_scratch.value()));
+      }
+    }
+  }
+  obs::set_metrics_enabled(false);
+}
+
+TEST(EngineUpdateDeltaKinds, ContentHashSeesRowOrderAndSignedZeros) {
+  // Each row's term mixes in its index: swapping two different rows
+  // changes the hash.
+  DenseMatrix<fp16_t> a = dlmc::make_lhs({8, 37}, 0.5, 1, 7701).values();
+  DenseMatrix<fp16_t> swapped = a;
+  for (std::size_t c = 0; c < a.cols(); ++c) {
+    swapped(0, c) = a(1, c);
+    swapped(1, c) = a(0, c);
+  }
+  EXPECT_NE(matrix_content_hash(a), matrix_content_hash(swapped));
+  // A -0 is content: it changes the hash although it compares equal.
+  DenseMatrix<fp16_t> signed_zero(8, 37);
+  signed_zero(3, 36) = fp16_t::from_bits(0x8000u);
+  EXPECT_NE(matrix_content_hash(signed_zero),
+            matrix_content_hash(DenseMatrix<fp16_t>(8, 37)));
+}
+
 // ---- Generation / RCU semantics -------------------------------------------
 
 TEST(EngineUpdate, LatestFollowsTheLineageAndOldHandlesKeepServing) {

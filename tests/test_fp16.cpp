@@ -6,10 +6,32 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 namespace jigsaw {
 namespace {
+
+/// The original loop-normalizing binary16 -> binary32 widening, kept as
+/// the reference the inline fp16_t::bits_to_float must match bit for bit.
+std::uint32_t reference_widen(std::uint16_t h) {
+  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
+  const std::uint32_t exp = (h >> 10) & 0x1fu;
+  const std::uint32_t mant = h & 0x3ffu;
+  if (exp == 0) {
+    if (mant == 0) return sign;  // +/- 0
+    std::uint32_t m = mant;
+    std::uint32_t e = 113;
+    while ((m & 0x400u) == 0) {
+      m <<= 1;
+      --e;
+    }
+    m &= 0x3ffu;
+    return sign | (e << 23) | (m << 13);
+  }
+  if (exp == 0x1f) return sign | 0x7f800000u | (mant << 13);  // Inf / NaN
+  return sign | ((exp + 112u) << 23) | (mant << 13);
+}
 
 TEST(Fp16, ZeroIsAllBitsClear) {
   EXPECT_EQ(fp16_t(0.0f).bits(), 0u);
@@ -44,6 +66,19 @@ TEST(Fp16, RoundTripAllBitPatterns) {
     if (std::isnan(f)) continue;  // NaN payloads need not round-trip
     const fp16_t back(f);
     EXPECT_EQ(back.bits(), h.bits()) << "bits=" << bits;
+  }
+}
+
+TEST(Fp16, WideningMatchesTheReferenceOnAllBitPatterns) {
+  // All 65 536 patterns: zeros, subnormals, normals, Inf and every NaN
+  // payload, compared as float bit patterns (NaN != NaN as a float).
+  for (std::uint32_t bits = 0; bits <= 0xffffu; ++bits) {
+    const float f =
+        fp16_t::bits_to_float(static_cast<std::uint16_t>(bits));
+    std::uint32_t got = 0;
+    std::memcpy(&got, &f, sizeof(got));
+    ASSERT_EQ(got, reference_widen(static_cast<std::uint16_t>(bits)))
+        << "bits=0x" << std::hex << bits;
   }
 }
 

@@ -282,7 +282,8 @@ TEST(HybridCompute, GathersOnlyTheRoutedColumns) {
   const HybridPlan plan = hybrid_plan(a, opts);
   ASSERT_EQ(plan.routing.size(), 1u);
   const PanelRouting& r = plan.routing[0];
-  EXPECT_EQ(plan.pipe_rows, (std::vector<std::uint32_t>{3, 40}));
+  EXPECT_EQ(r.dense_columns, (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(r.cuda_columns, (std::vector<std::uint32_t>{40}));
   // One 16-column tile x two 16-row slices.
   EXPECT_EQ(r.dense_tiles.size(), 2u * 16u * 16u);
   EXPECT_EQ(r.cuda_offsets, (std::vector<std::uint32_t>{0, 1}));
